@@ -7,8 +7,7 @@
 //! message holder. "Fresher timestamp wins" everywhere.
 
 use glr_geometry::Point2;
-use glr_sim::{NodeId, SimTime};
-use std::collections::HashMap;
+use glr_sim::{NodeId, NodeMap, SimTime};
 
 /// A position estimate with the time it was learned.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,7 +68,7 @@ impl LocationEstimate {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LocationTable {
-    entries: HashMap<NodeId, LocationEstimate>,
+    entries: NodeMap<LocationEstimate>,
 }
 
 impl LocationTable {

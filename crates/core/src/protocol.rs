@@ -3,14 +3,17 @@
 //! face-routing recovery and stale-location perturbation.
 
 use crate::config::{GlrConfig, LocationMode};
-use crate::decision::CopyPolicy;
 use crate::location::{LocationEstimate, LocationTable};
 use crate::packet::{DataPacket, GlrPacket};
 use crate::spanner::{face_next_hop, first_ccw_from_direction, spanner_neighbors};
 use crate::storage::{FaceState, MessageStore, StoredMessage};
 use glr_geometry::{dstd_next_hop, DstdKind, Point2};
-use glr_sim::{Ctx, MessageInfo, NodeId, PacketKind, Protocol, SimConfig};
+use glr_sim::{
+    BuildNodeIdHasher, Ctx, MessageId, MessageInfo, NodeId, PacketKind, Protocol, SimConfig,
+    SimTime,
+};
 use rand::Rng;
+use std::collections::{HashMap, HashSet};
 
 /// Timer token for the periodic route check.
 const ROUTE_CHECK: u64 = 1;
@@ -46,7 +49,9 @@ pub struct Glr {
     /// another copy into the network. A frame with a different sender or
     /// hop count is a legitimate revisit (the destination estimate moved)
     /// and is admitted normally.
-    seen: std::collections::HashMap<(glr_sim::MessageId, u8), (NodeId, u32, glr_sim::SimTime)>,
+    seen: HashMap<(MessageId, u8), (NodeId, u32, SimTime), BuildNodeIdHasher>,
+    /// When `seen` was last pruned of entries older than the window.
+    seen_pruned_at: SimTime,
     /// Hash of the fresh one-hop neighbour set at the previous route check.
     last_nbr_hash: u64,
     /// Whether the neighbourhood changed since the previous check (set at
@@ -71,6 +76,7 @@ impl Glr {
             locations: LocationTable::new(),
             timer_armed: false,
             seen: Default::default(),
+            seen_pruned_at: SimTime::ZERO,
             last_nbr_hash: 0,
             topology_changed: true,
         }
@@ -119,7 +125,7 @@ impl Glr {
                 let region = ctx.config().region;
                 let x = ctx.rng().random_range(0.0..=region.width());
                 let y = ctx.rng().random_range(0.0..=region.height());
-                LocationEstimate::new(Point2::new(x, y), glr_sim::SimTime::ZERO)
+                LocationEstimate::new(Point2::new(x, y), SimTime::ZERO)
             }
         }
     }
@@ -209,14 +215,14 @@ impl Glr {
             self.cfg.spanner,
         );
 
-        // Once the link-layer queue fills, further send attempts this pass
-        // are pointless churn: hold the remaining messages untouched.
-        let mut link_saturated = false;
-        for mut msg in self.messages.drain_store() {
-            if link_saturated {
-                self.messages.push(msg);
-                continue;
-            }
+        // The pass runs in place: each copy present now is taken from the
+        // front once, and the unsent ones go back to the end.
+        let pass = self.messages.store_len();
+        for visited in 1..=pass {
+            let mut msg = self
+                .messages
+                .pop_front()
+                .expect("nothing enters the Store during a pass");
             // Oracle mode refreshes the estimate at every hop/check.
             if self.cfg.location_mode == LocationMode::AllKnow {
                 msg.dest_est = LocationEstimate::new(ctx.true_pos(msg.info.dst), now);
@@ -240,10 +246,12 @@ impl Glr {
                         }
                         // Without custody the copy is forgotten on send.
                     } else {
-                        // Queue full: keep it (and everything after it)
-                        // for the next check.
-                        link_saturated = true;
-                        self.messages.push(msg);
+                        // Queue full: further send attempts this pass are
+                        // pointless churn. Keep this copy, and hold the
+                        // unvisited ones untouched behind it.
+                        self.messages.requeue(msg);
+                        self.messages.defer_front(pass - visited);
+                        return;
                     }
                 }
                 None => {
@@ -268,7 +276,7 @@ impl Glr {
                         ctx.count_event("glr.perturb");
                         self.perturb_destination(ctx, &mut msg);
                     }
-                    self.messages.push(msg);
+                    self.messages.requeue(msg);
                 }
             }
         }
@@ -367,12 +375,14 @@ impl Glr {
         if one_hop.is_empty() {
             return;
         }
-        let mut entries: Vec<(NodeId, LocationEstimate)> = Vec::new();
-        for m in self.messages.iter_store() {
-            if m.stuck_checks >= 1 && !entries.iter().any(|&(d, _)| d == m.info.dst) {
-                entries.push((m.info.dst, m.dest_est));
-            }
-        }
+        // One entry per destination, in first-seen Store order.
+        let mut queried: HashSet<NodeId, BuildNodeIdHasher> = HashSet::default();
+        let entries: Vec<(NodeId, LocationEstimate)> = self
+            .messages
+            .iter_store()
+            .filter(|m| m.stuck_checks >= 1 && queried.insert(m.info.dst))
+            .map(|m| (m.info.dst, m.dest_est))
+            .collect();
         if entries.is_empty() {
             return;
         }
@@ -444,6 +454,13 @@ impl Glr {
         let key = (d.info.id, d.copy_tag);
         let now = ctx.now();
         let window = 2.0 * self.cfg.cache_timeout;
+        if now - self.seen_pruned_at >= window {
+            // An entry a window old already fails the test below and
+            // would be overwritten, so dropping it changes nothing but
+            // the map's size.
+            self.seen.retain(|_, &mut (_, _, t)| now - t < window);
+            self.seen_pruned_at = now;
+        }
         if let Some(&(from0, hops0, t)) = self.seen.get(&key) {
             if from0 == from && hops0 == d.hops && now - t < window {
                 ctx.count_event("glr.retx_dedupe");
@@ -559,13 +576,6 @@ impl Protocol for Glr {
     fn storage_used(&self) -> usize {
         self.messages.total()
     }
-}
-
-/// Convenience: `CopyPolicy` re-export is used in the decision plumbing
-/// above; keeping the import alive even when the match arm is trivial.
-#[allow(dead_code)]
-fn _policy_witness(p: CopyPolicy) -> CopyPolicy {
-    p
 }
 
 #[cfg(test)]

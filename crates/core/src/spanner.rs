@@ -63,7 +63,9 @@ pub fn spanner_neighbors(
     k: usize,
     mode: SpannerMode,
 ) -> Vec<(NodeId, Point2)> {
-    if view.is_empty() {
+    // Only `one_hop` members survive the final filter, so without any
+    // there is nothing to triangulate for.
+    if view.is_empty() || one_hop.is_empty() {
         return Vec::new();
     }
     // Index 0 is self; the rest mirror `view`.
@@ -276,6 +278,16 @@ mod tests {
             SpannerMode::LocalDelaunay
         )
         .is_empty());
+    }
+
+    #[test]
+    fn empty_one_hop_no_neighbors() {
+        // A full view but no usable radio neighbour: every triangulated
+        // neighbour would be filtered out, in both modes.
+        let view = vec![entry(1, 60.0, 0.0), entry(2, 0.0, 60.0)];
+        for mode in [SpannerMode::LocalDelaunay, SpannerMode::KLocalDelaunay] {
+            assert!(spanner_neighbors(Point2::ORIGIN, &view, &[], 100.0, 2, mode).is_empty());
+        }
     }
 
     #[test]

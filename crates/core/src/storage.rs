@@ -195,10 +195,25 @@ impl MessageStore {
         }
     }
 
-    /// Drains the Store for a routing pass (put unsent copies back with
-    /// [`MessageStore::push`] — room is guaranteed since they just left).
-    pub fn drain_store(&mut self) -> Vec<StoredMessage> {
-        self.store.drain(..).collect()
+    /// Takes the Store's front copy. A routing pass runs in place: it pops
+    /// each of the `store_len()` copies it started with exactly once and
+    /// puts the unsent ones back with [`MessageStore::requeue`].
+    pub fn pop_front(&mut self) -> Option<StoredMessage> {
+        self.store.pop_front()
+    }
+
+    /// Puts a copy taken by [`MessageStore::pop_front`] back at the end of
+    /// the Store. Never evicts: the copy's slot was freed when it was taken.
+    pub fn requeue(&mut self, msg: StoredMessage) {
+        debug_assert!(self.limit.is_none_or(|l| self.total() < l));
+        self.store.push_back(msg);
+    }
+
+    /// Moves the first `n` Store copies behind the rest, keeping their
+    /// order: ends a pass early, leaving its unvisited copies after the
+    /// ones it requeued.
+    pub fn defer_front(&mut self, n: usize) {
+        self.store.rotate_left(n);
     }
 
     /// Moves a sent copy into the Cache pending acknowledgement.
@@ -225,17 +240,17 @@ impl MessageStore {
 
     /// Removes and returns the Cache entries whose acknowledgement wait
     /// has expired; the caller decides between retransmission and
-    /// re-routing.
+    /// re-routing. Both the returned entries and those left behind keep
+    /// their order.
     pub fn take_expired(&mut self, now: SimTime) -> Vec<CacheEntry> {
         let mut out = Vec::new();
-        let mut i = 0;
-        while i < self.cache.len() {
-            if self.cache[i].expires <= now {
-                out.push(self.cache.remove(i));
-            } else {
-                i += 1;
+        self.cache.retain(|e| {
+            let expired = e.expires <= now;
+            if expired {
+                out.push(*e);
             }
-        }
+            !expired
+        });
         out
     }
 
@@ -302,14 +317,30 @@ mod tests {
     }
 
     #[test]
-    fn push_and_drain() {
-        let mut s = MessageStore::new(None);
-        s.push(msg(0, 0));
-        s.push(msg(1, 0));
-        assert_eq!(s.store_len(), 2);
-        let drained = s.drain_store();
-        assert_eq!(drained.len(), 2);
-        assert!(s.is_empty());
+    fn in_place_pass_keeps_order() {
+        let mut s = MessageStore::new(Some(4));
+        for seq in 0..4 {
+            s.push(msg(seq, 0));
+        }
+        // Visit two copies, requeue them, then end the pass early: the
+        // unvisited pair must follow the requeued pair, in order.
+        for _ in 0..2 {
+            let m = s.pop_front().unwrap();
+            s.requeue(m);
+        }
+        assert_eq!(s.store_len(), 4);
+        s.defer_front(2);
+        let seqs: Vec<u32> = s.iter_store().map(|m| m.info.id.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3]);
+        // A copy sent mid-pass leaves the Store for good.
+        let first = s.pop_front().unwrap();
+        s.to_cache(first, NodeId(1), SimTime::from_secs(1.0));
+        let second = s.pop_front().unwrap();
+        s.requeue(second);
+        s.defer_front(2);
+        let seqs: Vec<u32> = s.iter_store().map(|m| m.info.id.seq).collect();
+        assert_eq!(seqs, vec![1, 2, 3]);
+        assert_eq!(s.total(), 4);
     }
 
     #[test]

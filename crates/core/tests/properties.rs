@@ -31,13 +31,13 @@ proptest! {
         let mut s = MessageStore::new(Some(limit));
         for (i, &(seq, tag)) in ops.iter().enumerate() {
             if i % 3 == 2 {
-                // Occasionally move the head to cache.
-                let drained = s.drain_store();
-                for (j, m) in drained.into_iter().enumerate() {
+                // Occasionally run a pass that moves the head to cache.
+                for j in 0..s.store_len() {
+                    let m = s.pop_front().unwrap();
                     if j == 0 {
                         s.to_cache(m, NodeId(1), SimTime::from_secs(10.0));
                     } else {
-                        s.push(m);
+                        s.requeue(m);
                     }
                 }
             }
@@ -85,6 +85,80 @@ proptest! {
         } else {
             prop_assert_eq!(moved, expect);
         }
+    }
+
+    #[test]
+    fn take_expired_preserves_order(deadlines in prop::collection::vec(0u32..10, 0..20), now in 0u32..10) {
+        let mut s = MessageStore::new(None);
+        for (i, &d) in deadlines.iter().enumerate() {
+            s.to_cache(msg(i as u32, 0), NodeId(1), SimTime::from_secs(d as f64));
+        }
+        let taken: Vec<u32> = s
+            .take_expired(SimTime::from_secs(now as f64))
+            .iter()
+            .map(|e| e.msg.info.id.seq)
+            .collect();
+        let (expired, kept): (Vec<u32>, Vec<u32>) =
+            (0..deadlines.len() as u32).partition(|&i| deadlines[i as usize] <= now);
+        prop_assert_eq!(taken, expired);
+        // The entries left behind keep their order too: expiring them all
+        // afterwards yields them in insertion order.
+        let rest: Vec<u32> = s
+            .take_expired(SimTime::from_secs(f64::MAX))
+            .iter()
+            .map(|e| e.msg.info.id.seq)
+            .collect();
+        prop_assert_eq!(rest, kept);
+    }
+
+    #[test]
+    fn in_place_pass_matches_drain_reference(
+        n in 0usize..20,
+        outcomes in prop::collection::vec(0u8..8, 20..21),
+    ) {
+        // Per visited copy: 0 = sent (to the Cache), 7 = link saturated
+        // (requeued, pass ends), anything else = kept (requeued).
+        let mut s = MessageStore::new(Some(n.max(1)));
+        for i in 0..n {
+            s.push(msg(i as u32, 0));
+        }
+        // Reference: drain everything, push unsent copies back in visit
+        // order, and after saturation push the rest back untouched.
+        let mut ref_store = Vec::new();
+        let mut ref_cache = Vec::new();
+        let mut saturated = false;
+        for i in 0..n as u32 {
+            match (saturated, outcomes[i as usize]) {
+                (true, _) => ref_store.push(i),
+                (false, 0) => ref_cache.push(i),
+                (false, 7) => {
+                    saturated = true;
+                    ref_store.push(i);
+                }
+                _ => ref_store.push(i),
+            }
+        }
+        let pass = s.store_len();
+        for visited in 1..=pass {
+            let m = s.pop_front().unwrap();
+            match outcomes[visited - 1] {
+                0 => s.to_cache(m, NodeId(1), SimTime::from_secs(10.0)),
+                7 => {
+                    s.requeue(m);
+                    s.defer_front(pass - visited);
+                    break;
+                }
+                _ => s.requeue(m),
+            }
+        }
+        let store: Vec<u32> = s.iter_store().map(|m| m.info.id.seq).collect();
+        prop_assert_eq!(store, ref_store);
+        let cache: Vec<u32> = s
+            .take_expired(SimTime::from_secs(10.0))
+            .iter()
+            .map(|e| e.msg.info.id.seq)
+            .collect();
+        prop_assert_eq!(cache, ref_cache);
     }
 
     #[test]

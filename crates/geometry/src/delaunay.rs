@@ -12,7 +12,6 @@
 
 use crate::point::Point2;
 use crate::predicates::{incircle, orient2d, Sign};
-use std::collections::HashSet;
 
 /// A Delaunay triangulation of a point set.
 ///
@@ -38,7 +37,8 @@ use std::collections::HashSet;
 #[derive(Debug, Clone)]
 pub struct Triangulation {
     triangles: Vec<[usize; 3]>,
-    edges: HashSet<(usize, usize)>,
+    /// Undirected edges as `(u, v)` with `u < v`, sorted and distinct.
+    edges: Vec<(usize, usize)>,
     num_points: usize,
 }
 
@@ -60,14 +60,14 @@ impl Triangulation {
         if n < 2 {
             return Triangulation {
                 triangles: Vec::new(),
-                edges: HashSet::new(),
+                edges: Vec::new(),
                 num_points: n,
             };
         }
         if n == 2 {
-            let mut edges = HashSet::new();
+            let mut edges = Vec::new();
             if points[0] != points[1] {
-                edges.insert(ordered(0, 1));
+                edges.push(ordered(0, 1));
             }
             return Triangulation {
                 triangles: Vec::new(),
@@ -106,17 +106,21 @@ impl Triangulation {
         let s2 = n + 2;
 
         let mut tris: Vec<[usize; 3]> = vec![[s0, s1, s2]];
-        let mut seen_dup: HashSet<(u64, u64)> = HashSet::new();
+        // Inserted coordinates (bit patterns), sorted for binary search.
+        let mut inserted: Vec<(u64, u64)> = Vec::with_capacity(n);
+        let mut bad: Vec<usize> = Vec::new();
+        let mut boundary: Vec<(usize, usize)> = Vec::new();
 
         for p in 0..n {
             // Skip exact duplicates: inserting them would create degenerate
             // triangles.
             let key = (pts[p].x.to_bits(), pts[p].y.to_bits());
-            if !seen_dup.insert(key) {
-                continue;
+            match inserted.binary_search(&key) {
+                Ok(_) => continue,
+                Err(at) => inserted.insert(at, key),
             }
             // Find all triangles whose circumcircle contains pts[p].
-            let mut bad: Vec<usize> = Vec::new();
+            bad.clear();
             for (ti, t) in tris.iter().enumerate() {
                 if in_circumcircle(&pts, *t, pts[p]) {
                     bad.push(ti);
@@ -124,7 +128,7 @@ impl Triangulation {
             }
             // Boundary of the cavity: edges belonging to exactly one bad
             // triangle.
-            let mut boundary: Vec<(usize, usize)> = Vec::new();
+            boundary.clear();
             for &ti in &bad {
                 let t = tris[ti];
                 for e in [(t[0], t[1]), (t[1], t[2]), (t[2], t[0])] {
@@ -149,7 +153,7 @@ impl Triangulation {
                 tris.swap_remove(ti);
             }
             // Re-triangulate the cavity.
-            for (a, b) in boundary {
+            for &(a, b) in &boundary {
                 // Ensure counter-clockwise orientation.
                 match orient2d(pts[a], pts[b], pts[p]) {
                     Sign::Positive => tris.push([a, b, p]),
@@ -164,12 +168,14 @@ impl Triangulation {
             .into_iter()
             .filter(|t| t.iter().all(|&v| v < n))
             .collect();
-        let mut edges = HashSet::new();
+        let mut edges = Vec::with_capacity(3 * triangles.len());
         for t in &triangles {
-            edges.insert(ordered(t[0], t[1]));
-            edges.insert(ordered(t[1], t[2]));
-            edges.insert(ordered(t[2], t[0]));
+            edges.push(ordered(t[0], t[1]));
+            edges.push(ordered(t[1], t[2]));
+            edges.push(ordered(t[2], t[0]));
         }
+        edges.sort_unstable();
+        edges.dedup();
         Triangulation {
             triangles,
             edges,
@@ -192,10 +198,11 @@ impl Triangulation {
     /// `true` when `uv` is a Delaunay edge.
     #[inline]
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.edges.contains(&ordered(u, v))
+        self.edges.binary_search(&ordered(u, v)).is_ok()
     }
 
-    /// Iterates over the undirected edge set as `(u, v)` pairs with `u < v`.
+    /// Iterates over the undirected edge set as `(u, v)` pairs with `u < v`,
+    /// in ascending order.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.edges.iter().copied()
     }
@@ -237,8 +244,9 @@ fn ordered(u: usize, v: usize) -> (usize, usize) {
 }
 
 /// When all points are collinear, returns the path edge set connecting
-/// consecutive distinct points along the line; `None` otherwise.
-fn collinear_chain(points: &[Point2]) -> Option<HashSet<(usize, usize)>> {
+/// consecutive distinct points along the line (sorted, like
+/// [`Triangulation`]'s edges); `None` otherwise.
+fn collinear_chain(points: &[Point2]) -> Option<Vec<(usize, usize)>> {
     let n = points.len();
     // Find two distinct points to define the line.
     let first = points[0];
@@ -257,14 +265,15 @@ fn collinear_chain(points: &[Point2]) -> Option<HashSet<(usize, usize)>> {
     } else {
         idx.sort_by(|&a, &b| points[a].y.partial_cmp(&points[b].y).unwrap());
     }
-    let mut edges = HashSet::new();
+    let mut edges = Vec::with_capacity(n - 1);
     let mut prev = idx[0];
     for &i in &idx[1..] {
         if points[i] != points[prev] {
-            edges.insert(ordered(prev, i));
+            edges.push(ordered(prev, i));
             prev = i;
         }
     }
+    edges.sort_unstable();
     Some(edges)
 }
 

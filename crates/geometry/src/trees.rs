@@ -109,31 +109,30 @@ pub fn dstd_next_hop<I: Copy>(
     kind: DstdKind,
 ) -> Option<I> {
     let my_d = self_pos.dist_sq(dst_pos);
-    let mut cands: Vec<(I, f64)> = neighbors
-        .iter()
-        .filter_map(|&(id, p)| {
-            let d = p.dist_sq(dst_pos);
-            (d < my_d).then_some((id, d))
-        })
-        .collect();
-    if cands.is_empty() {
-        return None;
-    }
-    cands.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+    // Candidates make strict progress, so their distances are never NaN.
+    let cands = neighbors.iter().filter_map(|&(id, p)| {
+        let d = p.dist_sq(dst_pos);
+        (d < my_d).then_some((id, d))
+    });
+    // The ends of the ranking need no sort: the first of the closest and
+    // the last of the farthest are what a stable sort puts there.
     let pick = match kind {
-        DstdKind::Max => 0,
-        DstdKind::Min => cands.len() - 1,
+        DstdKind::Max => cands.reduce(|best, c| if c.1 < best.1 { c } else { best }),
+        DstdKind::Min => cands.reduce(|best, c| if c.1 >= best.1 { c } else { best }),
         DstdKind::Mid(i) => {
-            if cands.len() <= 2 {
-                // No interior candidate; fall back to the closer end so the
-                // copy still moves.
-                cands.len() / 2
+            let mut ranked: Vec<(I, f64)> = cands.collect();
+            ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+            let at = if ranked.len() <= 2 {
+                // No interior candidate; fall back to the closer end so
+                // the copy still moves.
+                ranked.len() / 2
             } else {
-                1 + (i as usize) % (cands.len() - 2)
-            }
+                1 + (i as usize) % (ranked.len() - 2)
+            };
+            ranked.get(at).copied()
         }
     };
-    Some(cands[pick].0)
+    pick.map(|(id, _)| id)
 }
 
 /// All distinct next hops for an `n_copies` transmission, one per tree kind,

@@ -21,6 +21,87 @@ fn points(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Point2>> {
     prop::collection::vec(point(), n)
 }
 
+/// Points on a small integer lattice: duplicates, ties in distance,
+/// collinear and cocircular subsets are all common.
+fn lattice_points(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Point2>> {
+    prop::collection::vec(
+        (0i32..5, 0i32..5).prop_map(|(x, y)| Point2::new(x as f64, y as f64)),
+        n,
+    )
+}
+
+/// Points on the line `y = slope * x + 1` (possibly repeated).
+fn collinear_points(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Point2>> {
+    (-3i32..4, prop::collection::vec(-20i32..20, n)).prop_map(|(slope, xs)| {
+        xs.into_iter()
+            .map(|x| Point2::new(x as f64, (slope * x + 1) as f64))
+            .collect()
+    })
+}
+
+/// The sort-based DSTD next hop that `dstd_next_hop` replaced, kept as
+/// its reference: rank the progress-making neighbours by distance with a
+/// stable sort and pick by tree kind.
+fn dstd_next_hop_by_sort<I: Copy>(
+    self_pos: Point2,
+    dst_pos: Point2,
+    neighbors: &[(I, Point2)],
+    kind: DstdKind,
+) -> Option<I> {
+    let my_d = self_pos.dist_sq(dst_pos);
+    let mut cands: Vec<(I, f64)> = neighbors
+        .iter()
+        .filter_map(|&(id, p)| {
+            let d = p.dist_sq(dst_pos);
+            (d < my_d).then_some((id, d))
+        })
+        .collect();
+    if cands.is_empty() {
+        return None;
+    }
+    cands.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+    let pick = match kind {
+        DstdKind::Max => 0,
+        DstdKind::Min => cands.len() - 1,
+        DstdKind::Mid(i) => {
+            if cands.len() <= 2 {
+                cands.len() / 2
+            } else {
+                1 + (i as usize) % (cands.len() - 2)
+            }
+        }
+    };
+    Some(cands[pick].0)
+}
+
+/// `has_edge`, `edges()` and `edge_count()` describe one sorted edge set,
+/// and with any triangles it is exactly the set of triangle sides.
+fn check_edge_set(pts: &[Point2], tri: &Triangulation) -> Result<(), proptest::TestCaseError> {
+    let edges: Vec<(usize, usize)> = tri.edges().collect();
+    prop_assert_eq!(edges.len(), tri.edge_count());
+    for w in edges.windows(2) {
+        prop_assert!(w[0] < w[1], "edges not sorted and distinct: {:?}", edges);
+    }
+    for u in 0..pts.len() {
+        for v in 0..pts.len() {
+            let listed = edges.contains(&(u.min(v), u.max(v)));
+            prop_assert_eq!(tri.has_edge(u, v), u != v && listed, "pair ({}, {})", u, v);
+        }
+    }
+    if !tri.triangles().is_empty() {
+        let mut sides: Vec<(usize, usize)> = tri
+            .triangles()
+            .iter()
+            .flat_map(|t| [(t[0], t[1]), (t[1], t[2]), (t[2], t[0])])
+            .map(|(u, v)| (u.min(v), u.max(v)))
+            .collect();
+        sides.sort_unstable();
+        sides.dedup();
+        prop_assert_eq!(edges, sides);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -81,6 +162,45 @@ proptest! {
                 prop_assert_ne!(incircle(a, b, c, p), Sign::Positive,
                     "point {} inside circumcircle of {:?}", i, t);
             }
+        }
+    }
+
+    #[test]
+    fn delaunay_edges_agree_with_triangles(pts in lattice_points(0..16)) {
+        check_edge_set(&pts, &Triangulation::build(&pts))?;
+    }
+
+    #[test]
+    fn collinear_delaunay_edges_form_a_path(pts in collinear_points(0..12)) {
+        let tri = Triangulation::build(&pts);
+        prop_assert!(tri.triangles().is_empty());
+        check_edge_set(&pts, &tri)?;
+        // A path through the distinct points: one edge fewer than them.
+        let mut distinct: Vec<(u64, u64)> =
+            pts.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        prop_assert_eq!(tri.edge_count(), distinct.len().saturating_sub(1));
+    }
+
+    #[test]
+    fn dstd_matches_sort_reference(
+        me in (0i32..5, 0i32..5),
+        dst in (0i32..5, 0i32..5),
+        nbr_pts in lattice_points(0..12),
+        mid in 0u8..6,
+    ) {
+        // Lattice points tie in distance often; ids are slice positions, so
+        // the tie-breaking order is visible.
+        let me = Point2::new(me.0 as f64, me.1 as f64);
+        let dst = Point2::new(dst.0 as f64, dst.1 as f64);
+        let nbrs: Vec<(usize, Point2)> = nbr_pts.into_iter().enumerate().collect();
+        for kind in [DstdKind::Max, DstdKind::Min, DstdKind::Mid(mid)] {
+            prop_assert_eq!(
+                dstd_next_hop(me, dst, &nbrs, kind),
+                dstd_next_hop_by_sort(me, dst, &nbrs, kind),
+                "{:?}", kind
+            );
         }
     }
 

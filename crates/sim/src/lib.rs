@@ -186,8 +186,8 @@ pub use medium::{
     ShadowingMedium, ShadowingParams, TxResolution, DUTY_SLEEP_DROP, SHADOWING_FADE_LOSS,
 };
 pub use neighbors::{
-    BeaconSnapshot, NeighborEntry, NeighborTables, NeighborsIter, NeighborsView, TableBackend,
-    TableFootprint,
+    BeaconSnapshot, BuildNodeIdHasher, NeighborEntry, NeighborTables, NeighborsIter, NeighborsView,
+    NodeMap, TableBackend, TableFootprint,
 };
 pub use pool::{BudgetLease, ThreadBudget, WorkerPool};
 pub use queue::TimedQueue;

@@ -56,9 +56,10 @@ use std::sync::Arc;
 /// DoS resistance buys nothing here and costs most of a
 /// `record_beacon`'s budget. Iteration order of the maps this backs is
 /// never observable (outputs are sorted or keyed), so the hasher choice
-/// cannot affect results.
+/// cannot affect results. Every written value is folded into the state,
+/// so composite keys such as [`crate::MessageId`] hash all their fields.
 #[derive(Debug, Default, Clone, Copy)]
-struct NodeIdHasher(u64);
+pub struct NodeIdHasher(u64);
 
 impl Hasher for NodeIdHasher {
     fn finish(&self) -> u64 {
@@ -73,13 +74,15 @@ impl Hasher for NodeIdHasher {
     }
 
     fn write_u32(&mut self, v: u32) {
-        let h = u64::from(v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let h = (self.0 ^ u64::from(v)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         self.0 = h ^ (h >> 32);
     }
 }
 
+/// Builds [`NodeIdHasher`]s; the hasher of [`NodeMap`], also usable for
+/// other small-integer keys from inside the simulation.
 #[derive(Debug, Default, Clone, Copy)]
-struct BuildNodeIdHasher;
+pub struct BuildNodeIdHasher;
 
 impl BuildHasher for BuildNodeIdHasher {
     type Hasher = NodeIdHasher;
@@ -89,7 +92,7 @@ impl BuildHasher for BuildNodeIdHasher {
 }
 
 /// A `NodeId`-keyed hash map with the cheap hasher above.
-type NodeMap<V> = HashMap<NodeId, V, BuildNodeIdHasher>;
+pub type NodeMap<V> = HashMap<NodeId, V, BuildNodeIdHasher>;
 
 /// A neighbour-table entry: where a node was when we last heard it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1037,6 +1040,31 @@ mod tests {
     use super::*;
 
     const BACKENDS: [TableBackend; 2] = [TableBackend::Shared, TableBackend::CloneMerge];
+
+    fn node_id_hash<K: std::hash::Hash>(key: &K) -> u64 {
+        BuildNodeIdHasher.hash_one(key)
+    }
+
+    #[test]
+    fn node_id_hasher_folds_every_field() {
+        // A lone u32 key hashes exactly as a single multiply-xorshift.
+        let h = 7u64.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        assert_eq!(node_id_hash(&NodeId(7)), h ^ (h >> 32));
+        // Composite keys that differ only in their first field must not
+        // collide (an overwriting `write_u32` hashed only the last one).
+        for seq in [0, 1, 99] {
+            let a = crate::MessageId {
+                src: NodeId(1),
+                seq,
+            };
+            let b = crate::MessageId {
+                src: NodeId(2),
+                seq,
+            };
+            assert_ne!(node_id_hash(&a), node_id_hash(&b), "seq {seq}");
+            assert_ne!(node_id_hash(&(a, 0u8)), node_id_hash(&(b, 0u8)));
+        }
+    }
 
     fn entry(id: u32, at: f64) -> NeighborEntry {
         NeighborEntry {

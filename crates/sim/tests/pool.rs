@@ -4,6 +4,11 @@
 //! dispatch with a clear error instead of deadlocking the engine's
 //! commit phase; and a thread budget of 1 degrades everything to the
 //! serial path without ever spawning a thread.
+//!
+//! The thread-count checks read the process-wide count in /proc, which
+//! sibling tests spawning pools of their own would disturb. Each such
+//! test therefore re-executes this test binary to run alone in a child
+//! process (see [`isolated`]).
 
 use glr_sim::pool::Task;
 use glr_sim::{
@@ -18,6 +23,35 @@ impl Protocol for Idle {
     type Packet = ();
     fn on_message_created(&mut self, _: &mut Ctx<'_, ()>, _: MessageInfo) {}
     fn on_packet(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
+}
+
+/// Set in a child process to the name of the one test it runs.
+const CHILD_ENV: &str = "GLR_POOL_TEST_CHILD";
+
+/// Runs `body` in a child process that executes only the test `name`, so
+/// no sibling test's threads share the process's thread count. Inside
+/// that child, runs `body` directly.
+fn isolated(name: &str, body: impl FnOnce()) {
+    if std::env::var(CHILD_ENV).as_deref() == Ok(name) {
+        body();
+        return;
+    }
+    let exe = std::env::current_exe().expect("path of the running test binary");
+    let out = std::process::Command::new(exe)
+        .args([name, "--exact", "--test-threads=1", "--nocapture"])
+        .env(CHILD_ENV, name)
+        .output()
+        .expect("re-execute the test binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{name} failed in its child process:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains("1 passed"),
+        "{name} did not run in its child process:\n{stdout}"
+    );
 }
 
 /// Live thread count of this process (Linux; the CI and dev hosts).
@@ -64,6 +98,13 @@ fn dispatch_counts(pool: &WorkerPool, tasks: usize) -> usize {
 
 #[test]
 fn pool_drop_joins_all_workers() {
+    isolated(
+        "pool_drop_joins_all_workers",
+        pool_drop_joins_all_workers_body,
+    );
+}
+
+fn pool_drop_joins_all_workers_body() {
     let baseline = thread_count().unwrap_or(0);
     let pool = WorkerPool::with_threads(4);
     assert_eq!(dispatch_counts(&pool, 32), 32);
@@ -77,6 +118,13 @@ fn pool_drop_joins_all_workers() {
 
 #[test]
 fn simulations_leak_no_threads() {
+    isolated(
+        "simulations_leak_no_threads",
+        simulations_leak_no_threads_body,
+    );
+}
+
+fn simulations_leak_no_threads_body() {
     let baseline = thread_count().unwrap_or(0);
     // Forced-fanout parallel runs: every beacon dispatches to the pool.
     for seed in 0..3 {
@@ -125,6 +173,13 @@ fn panicking_task_errors_instead_of_deadlocking() {
 
 #[test]
 fn budget_of_one_runs_serial_and_spawns_nothing() {
+    isolated(
+        "budget_of_one_runs_serial_and_spawns_nothing",
+        budget_of_one_runs_serial_and_spawns_nothing_body,
+    );
+}
+
+fn budget_of_one_runs_serial_and_spawns_nothing_body() {
     let baseline = thread_count().unwrap_or(0);
     let budget = ThreadBudget::total(1);
     let cfg = SimConfig::paper(250.0, 9)
