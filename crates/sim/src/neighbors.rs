@@ -43,7 +43,6 @@
 //!    snapshot per sender loses nothing a fresh query could see.
 
 use crate::ids::NodeId;
-use crate::pool::{Task, WorkerPool};
 use crate::time::SimTime;
 use glr_geometry::Point2;
 use std::collections::HashMap;
@@ -336,93 +335,6 @@ impl NeighborTables {
         }
     }
 
-    /// [`NeighborTables::record_beacon`] for a whole receiver set at
-    /// once, with the per-receiver merges fanned across the worker
-    /// [`pool`](WorkerPool) in fixed chunks — the compute phase of the
-    /// engine's deterministic parallel reception. A `pool` of `None`
-    /// (or of one thread) runs the ascending sequential loop — the
-    /// serial reference path.
-    ///
-    /// `receivers` must be strictly ascending (the order
-    /// [`crate::World::nodes_within`] returns). `was_fresh` is cleared
-    /// and filled with one flag per receiver, exactly the values a
-    /// sequential `record_beacon` loop would have returned.
-    ///
-    /// **Why this is deterministic.** Each receiver's merge touches only
-    /// that receiver's table (disjoint `&mut` access, enforced by the
-    /// type system via slice splitting), draws no randomness, and
-    /// touches no statistics; merges of distinct receivers therefore
-    /// commute, and running them concurrently is observably identical to
-    /// the ascending-order sequential loop. The engine keeps everything
-    /// order-sensitive — protocol hooks, stats, event scheduling — in
-    /// its in-order commit phase.
-    pub fn record_beacon_batch(
-        &mut self,
-        receivers: &[NodeId],
-        sender: NeighborEntry,
-        snapshot: &BeaconSnapshot,
-        now: SimTime,
-        pool: Option<&WorkerPool>,
-        was_fresh: &mut Vec<bool>,
-    ) {
-        debug_assert!(
-            receivers.windows(2).all(|w| w[0] < w[1]),
-            "receivers must be strictly ascending"
-        );
-        was_fresh.clear();
-        let workers = pool.map_or(1, WorkerPool::threads);
-        if workers <= 1 || receivers.len() < 2 {
-            for &v in receivers {
-                was_fresh.push(self.record_beacon(v, sender, snapshot, now));
-            }
-            return;
-        }
-        let pool = pool.expect("workers > 1 implies a pool");
-        was_fresh.resize(receivers.len(), false);
-        let chunk = receivers.len().div_ceil(workers);
-        match &mut self.backend {
-            Backend::Shared(t) => {
-                let horizon = now.as_secs() - t.ttl;
-                let mut tables = disjoint_muts(&mut t.nodes, receivers);
-                let tasks: Vec<Task<'_>> = tables
-                    .chunks_mut(chunk)
-                    .zip(was_fresh.chunks_mut(chunk))
-                    .map(|(tc, fc)| {
-                        Box::new(move || {
-                            for (table, fresh) in tc.iter_mut().zip(fc.iter_mut()) {
-                                *fresh = table.record_beacon(sender, snapshot, horizon);
-                            }
-                        }) as Task<'_>
-                    })
-                    .collect();
-                pool.run(tasks);
-            }
-            Backend::CloneMerge(t) => {
-                let horizon = t.horizon(now);
-                let snapshot = snapshot.entries();
-                let mut ones = disjoint_muts(&mut t.one_hop, receivers);
-                let mut twos = disjoint_muts(&mut t.two_hop, receivers);
-                let tasks: Vec<Task<'_>> = ones
-                    .chunks_mut(chunk)
-                    .zip(twos.chunks_mut(chunk))
-                    .zip(receivers.chunks(chunk).zip(was_fresh.chunks_mut(chunk)))
-                    .map(|((oc, tc), (rc, fc))| {
-                        Box::new(move || {
-                            for (((one, two), &receiver), fresh) in
-                                oc.iter_mut().zip(tc.iter_mut()).zip(rc).zip(fc.iter_mut())
-                            {
-                                *fresh = CloneTables::record_beacon_at(
-                                    one, two, receiver, sender, snapshot, horizon,
-                                );
-                            }
-                        }) as Task<'_>
-                    })
-                    .collect();
-                pool.run(tasks);
-            }
-        }
-    }
-
     /// Heap footprint of the tables — the per-node protocol-state
     /// telemetry the 100k-node memory work reports (hash-map sizes are
     /// bucket-count estimates; everything else is exact capacity
@@ -431,20 +343,6 @@ impl NeighborTables {
         match &self.backend {
             Backend::Shared(t) => t.footprint(),
             Backend::CloneMerge(t) => t.footprint(),
-        }
-    }
-
-    /// What the same live content would occupy under the PR-4 layout
-    /// (fat snapshot handles, inline view caches, wide sweep counters)
-    /// — the baseline the footprint telemetry reports its savings
-    /// against, in the mould of
-    /// [`glr_mobility::DeploymentArena::vec_equivalent_bytes`]. For the
-    /// [`TableBackend::CloneMerge`] reference backend (whose layout is
-    /// unchanged) this equals [`NeighborTables::footprint`]'s total.
-    pub fn baseline_footprint_bytes(&self) -> usize {
-        match &self.backend {
-            Backend::Shared(t) => t.baseline_equivalent_bytes(),
-            Backend::CloneMerge(t) => t.footprint().total_bytes(),
         }
     }
 
@@ -458,23 +356,6 @@ impl NeighborTables {
             Backend::CloneMerge(t) => t.heard_frame(receiver, entry),
         }
     }
-}
-
-/// Disjoint mutable references to `slice[ids[0]], slice[ids[1]], …` for
-/// strictly ascending ids, extracted by repeated `split_at_mut` — the
-/// safe-Rust form of handing each parallel reception worker its own
-/// receivers' tables.
-fn disjoint_muts<'a, T>(mut slice: &'a mut [T], ids: &[NodeId]) -> Vec<&'a mut T> {
-    let mut out = Vec::with_capacity(ids.len());
-    let mut base = 0usize;
-    for id in ids {
-        let i = id.index() - base;
-        let (head, tail) = slice.split_at_mut(i + 1);
-        out.push(&mut head[i]);
-        base += i + 1;
-        slice = tail;
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -602,10 +483,7 @@ impl NodeTable {
 
     /// The per-receiver beacon merge: freshest-wins upsert of the
     /// sender, latest-snapshot-per-sender store, GC-horizon advance and
-    /// amortised sweep — all off a single `peers` probe. Touches only
-    /// this table — the property the engine's parallel reception phase
-    /// relies on to fan receivers of one beacon across threads with
-    /// disjoint `&mut` access.
+    /// amortised sweep — all off a single `peers` probe.
     fn record_beacon(
         &mut self,
         sender: NeighborEntry,
@@ -809,53 +687,6 @@ impl SharedTables {
             snapshot_bytes: snapshots.values().sum(),
         }
     }
-
-    /// What the same live content would occupy under the PR-4 layout —
-    /// fat 24-byte snapshot handles stored per `(node, peer)` pair,
-    /// view caches inline in the hot per-node struct, `usize`/`u64`
-    /// sweep counters. The baseline for the footprint telemetry, in the
-    /// mould of [`glr_mobility::DeploymentArena::vec_equivalent_bytes`].
-    fn baseline_equivalent_bytes(&self) -> usize {
-        // Sizes of the replaced layout, from its definitions:
-        // NodeTable {order Vec 24, peers HashMap 48, gc_horizon 8,
-        //   ops usize 8, gen u64 8,
-        //   one_cache Option<(SimTime, u64, BeaconSnapshot{Arc,f64})> 40,
-        //   view_cache Option<(SimTime, u64, NeighborsView)> 32} = 168;
-        // peer-map entry (NodeId, PeerState{slot u32, snap Option<{Arc
-        //   16, max_heard 8}>}) = 40.
-        const OLD_NODE_TABLE: usize = 168;
-        const OLD_PEER_ENTRY: usize = 40;
-        let mut bytes = self.nodes.capacity() * OLD_NODE_TABLE;
-        let mut snapshots: HashMap<*const NeighborEntry, usize> = HashMap::new();
-        let mut note = |entries: &Arc<[NeighborEntry]>| {
-            snapshots.insert(
-                entries.as_ptr(),
-                entries.len() * std::mem::size_of::<NeighborEntry>() + ARC_SLICE_HEADER,
-            );
-        };
-        for t in &self.nodes {
-            bytes += t.order.capacity() * std::mem::size_of::<NeighborEntry>()
-                + map_heap_bytes(t.peers.capacity(), OLD_PEER_ENTRY);
-            for st in t.peers.values() {
-                if let Some(snap) = &st.snap {
-                    note(&snap.entries);
-                }
-            }
-        }
-        // The old layout's inline one_cache/view_cache fields held the
-        // same interned allocations the split-out caches hold now —
-        // count them so both sides of the comparison cover identical
-        // content (the struct bytes are already in OLD_NODE_TABLE).
-        for c in &self.caches {
-            if let Some((_, _, snap)) = &c.one {
-                note(&snap.entries);
-            }
-            if let Some((_, _, view)) = &c.view {
-                note(&view.entries);
-            }
-        }
-        bytes + snapshots.values().sum::<usize>()
-    }
 }
 
 /// `ArcInner` bookkeeping preceding an `Arc<[T]>`'s payload (strong +
@@ -978,28 +809,8 @@ impl CloneTables {
         now: SimTime,
     ) -> bool {
         let horizon = self.horizon(now);
-        let vi = receiver.index();
-        Self::record_beacon_at(
-            &mut self.one_hop[vi],
-            &mut self.two_hop[vi],
-            receiver,
-            sender,
-            snapshot,
-            horizon,
-        )
-    }
-
-    /// The per-receiver merge on one `(one_hop, two_hop)` table pair —
-    /// split out so the parallel reception phase can run it over
-    /// disjoint `&mut` table pairs.
-    fn record_beacon_at(
-        one_hop: &mut Vec<NeighborEntry>,
-        two_hop: &mut Vec<NeighborEntry>,
-        receiver: NodeId,
-        sender: NeighborEntry,
-        snapshot: &[NeighborEntry],
-        horizon: f64,
-    ) -> bool {
+        let one_hop = &mut self.one_hop[receiver.index()];
+        let two_hop = &mut self.two_hop[receiver.index()];
         let was_fresh = one_hop
             .iter()
             .any(|e| e.id == sender.id && e.heard_at.as_secs() >= horizon);
@@ -1103,14 +914,6 @@ mod tests {
         }
         let after = t.footprint().snapshot_bytes;
         assert_eq!(before, after);
-        // And the compact layout must beat its PR-4 equivalent.
-        let fp = t.footprint();
-        assert!(
-            fp.total_bytes() < t.baseline_footprint_bytes(),
-            "current {} vs baseline {}",
-            fp.total_bytes(),
-            t.baseline_footprint_bytes()
-        );
     }
 
     #[test]

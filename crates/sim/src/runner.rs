@@ -36,7 +36,8 @@ impl MultiRun {
     ///
     /// # Panics
     ///
-    /// Panics if `runs == 0`, or propagates the first panic of any run.
+    /// Panics if `runs == 0`, or if a run panics (the message names it
+    /// as `cell 0 run {i}`).
     pub fn execute(
         config: &SimConfig,
         runs: usize,
@@ -55,7 +56,8 @@ impl MultiRun {
     ///
     /// # Panics
     ///
-    /// Panics if `runs == 0`, or propagates the first panic of any run.
+    /// Panics if `runs == 0`, or if a run panics (the message names it
+    /// as `cell 0 run {i}`).
     pub fn execute_with_threads(
         config: &SimConfig,
         runs: usize,
@@ -63,13 +65,8 @@ impl MultiRun {
         run_fn: impl Fn(SimConfig) -> RunStats + Send + Sync,
     ) -> Self {
         assert!(runs > 0, "need at least one run");
-        // The outer run fan-out draws from the same thread budget the
-        // per-run engines use (the configs handed to `run_fn` carry the
-        // same ledger), so `threads` is a cap within the budget, not an
-        // addition to it.
         let results = Sweep::new(runs)
             .with_threads(threads)
-            .with_budget(config.thread_budget.clone())
             .execute(&[()], |(), i| {
                 run_fn(config.clone().with_seed(config.seed + i as u64))
             });

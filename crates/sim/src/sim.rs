@@ -3,8 +3,9 @@
 //! This is the NS-2 substitute described in DESIGN.md, composed from the
 //! layered modules of this crate:
 //!
-//! * [`crate::event`] — the deterministic event queue (time-ordered,
-//!   FIFO within a timestamp);
+//! * [`crate::queue`] — the deterministic event queue, a
+//!   [`TimedQueue`] of event kinds (time-ordered, FIFO within a
+//!   timestamp);
 //! * [`crate::world`] — shared world state: clock, piecewise-linear node
 //!   mobility (sampled lazily from trajectories), the spatial index, the
 //!   run RNG, and statistics;
@@ -19,29 +20,23 @@
 //!
 //! The engine itself (this module) only sequences events: it drains
 //! everything due at the next timestamp into a batch (time-then-FIFO
-//! order preserved), advances the clock, and dispatches each event to
-//! the medium, the neighbour tables, the workload, or a protocol hook.
-//! Under [`crate::EngineKind::Parallel`] a wide beacon's per-receiver
-//! reception merges — disjoint, randomness-free, statistics-free — are
-//! fanned in fixed chunks across a persistent [`WorkerPool`] (parked
-//! workers spawned lazily on the first wide event and reused for the
-//! whole run, sized by the [`crate::ThreadBudget`] in the
-//! configuration), and everything order-sensitive (protocol hooks,
-//! stats, scheduling) commits in the exact sequential order afterwards;
-//! the serial engine remains the reference and both are bit-identical
-//! for any thread count and budget (`tests/engine_equivalence.rs`).
+//! order preserved), advances the clock, and dispatches each event in
+//! order to the medium, the neighbour tables, the workload, or a
+//! protocol hook. One run is one thread; a beacon's receivers merge its
+//! snapshot one after another in ascending id order. Parallelism lives
+//! across runs, in [`crate::Sweep`].
 //! Protocols implement [`Protocol`] and interact with the world through
 //! [`Ctx`]. All randomness flows from the seed in [`crate::SimConfig`],
 //! so a run is a pure function of `(config, workload, protocol, seed)`
-//! — under either spatial-index backend, either engine, and any
-//! conforming medium.
+//! — under either spatial-index backend, either neighbour-table
+//! backend, and any conforming medium.
 
 use crate::config::SimConfig;
-use crate::event::{EventKind, EventQueue};
+use crate::event::EventKind;
 use crate::ids::{MessageId, MessageInfo, NodeId};
 use crate::medium::{ContentionMedium, Frame, Medium, PacketKind, QueueFull, TxResolution};
 use crate::neighbors::{NeighborEntry, NeighborTables, NeighborsView, TableFootprint};
-use crate::pool::WorkerPool;
+use crate::queue::TimedQueue;
 use crate::stats::RunStats;
 use crate::time::SimTime;
 use crate::workload::Workload;
@@ -97,14 +92,9 @@ pub trait Protocol: Sized {
 
 struct Core<Pk> {
     world: World,
-    events: EventQueue,
+    events: TimedQueue<EventKind>,
     medium: Box<dyn Medium<Pk>>,
     tables: NeighborTables,
-    /// Persistent fan-out pool for [`crate::EngineKind::Parallel`]:
-    /// sized by the configuration's engine × thread budget, spawned
-    /// lazily on the first wide event, parked between events, joined on
-    /// drop. Serial engines get an inert single-thread pool.
-    pool: WorkerPool,
 }
 
 // ---------------------------------------------------------------------------
@@ -284,7 +274,7 @@ pub struct Simulation<P: Protocol> {
     batch: Vec<EventKind>,
     /// Reusable receiver buffer for beacon events.
     receivers: Vec<NodeId>,
-    /// Reusable per-receiver freshness flags for batched reception.
+    /// Reusable per-receiver freshness flags of one beacon reception.
     fresh: Vec<bool>,
 }
 
@@ -359,16 +349,11 @@ impl<P: Protocol> Simulation<P> {
             .map(|i| workload.message_id(i))
             .collect();
         let tables = NeighborTables::new(n, config.neighbor_ttl, config.neighbor_tables);
-        // The pool asks the run's budget for the engine's threads; a
-        // serial engine (or an exhausted budget) yields a one-thread
-        // pool that never spawns anything.
-        let pool = WorkerPool::from_budget(&config.thread_budget, config.engine.threads());
         let core = Core {
             world: World::new(config, trajectories, rng),
-            events: EventQueue::new(),
+            events: TimedQueue::new(),
             medium,
             tables,
-            pool,
         };
         Simulation {
             core,
@@ -404,7 +389,7 @@ impl<P: Protocol> Simulation<P> {
     /// Like [`Simulation::run`], additionally handing the finished
     /// simulation to `inspect` before it is torn down — the hook for
     /// end-of-run telemetry that is not part of [`RunStats`] (and must
-    /// not be, since `RunStats` equality underpins the engine/backend
+    /// not be, since `RunStats` equality underpins the backend
     /// equivalence guarantees), such as
     /// [`Simulation::neighbor_footprint`].
     pub fn run_inspect(mut self, inspect: impl FnOnce(&Self)) -> RunStats {
@@ -486,13 +471,6 @@ impl<P: Protocol> Simulation<P> {
         self.core.tables.footprint()
     }
 
-    /// What the neighbour tables' live content would occupy under the
-    /// PR-4 memory layout — the baseline for
-    /// [`Simulation::neighbor_footprint`].
-    pub fn neighbor_footprint_baseline(&self) -> usize {
-        self.core.tables.baseline_footprint_bytes()
-    }
-
     fn handle_beacon(&mut self, u: NodeId) {
         let now = self.core.world.now;
         let pos_u = self.core.world.pos(u);
@@ -511,29 +489,19 @@ impl<P: Protocol> Simulation<P> {
             pos: pos_u,
             heard_at: now,
         };
-        // Deterministic (possibly parallel) reception. Compute phase:
-        // the per-receiver snapshot merges commute (each touches only
-        // its receiver's table, draws no randomness, counts no
-        // statistics), so fanning them across the run's persistent
-        // worker pool in fixed chunks — engaged only for receiver sets
-        // wide enough to repay dispatch — is observably identical to
-        // the single-worker ascending loop. Commit phase: everything
-        // order-sensitive — new-contact protocol hooks, with their
-        // sends, timers and RNG draws — replays in exact sequential
-        // order.
-        let pool = self.core.pool.clone();
-        let wide = pool.threads() > 1 && receivers.len() >= self.core.world.config.parallel_grain;
+        // All receivers merge the beacon before any new-contact hook
+        // runs, so every hook sees the same post-beacon tables; both
+        // passes go in ascending id order.
         let mut fresh = std::mem::take(&mut self.fresh);
-        self.core.tables.record_beacon_batch(
-            &receivers,
-            sender,
-            &snapshot,
-            now,
-            if wide { Some(&pool) } else { None },
-            &mut fresh,
+        fresh.clear();
+        let tables = &mut self.core.tables;
+        fresh.extend(
+            receivers
+                .iter()
+                .map(|&v| tables.record_beacon(v, sender, &snapshot, now)),
         );
-        for (i, &v) in receivers.iter().enumerate() {
-            if !fresh[i] {
+        for (&v, &was_fresh) in receivers.iter().zip(&fresh) {
+            if !was_fresh {
                 Self::with_protocol(&mut self.core, &mut self.protocols, v, |p, ctx| {
                     p.on_neighbor_appeared(ctx, u)
                 });

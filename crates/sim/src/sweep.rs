@@ -4,13 +4,15 @@
 //! storage × workload density — with each cell averaged over seeded
 //! runs. [`Sweep`] executes such grids: the caller expands its axes into
 //! a flat cell list (typically `Vec<Scenario>`, but any `Sync` cell type
-//! works), and the engine flattens `(cell, run)` pairs into a work queue
-//! that [`crate::WorkerPool`] workers drain via an atomic cursor — long
-//! cells never leave threads idle the way per-cell fan-out would. The
-//! outer workers draw from a [`ThreadBudget`] ([`Sweep::with_budget`])
-//! that the cells' inner engines can share through
-//! [`crate::SimConfig::with_thread_budget`], so composing sweep-level
-//! and engine-level parallelism never oversubscribes the host.
+//! works), and the engine flattens `(cell, run)` pairs into a work queue.
+//! [`Sweep::execute`] drains it on `std::thread::scope` workers (the
+//! calling thread plus `threads − 1` spawned ones) through an atomic
+//! cursor, so long cells never leave threads idle the way per-cell
+//! fan-out would. This is the crate's only parallelism: each run itself
+//! is single-threaded.
+//!
+//! Failures: a panicking run is re-raised on the calling thread with its
+//! unit named (`cell {c} run {r}`), and no further units are handed out.
 //!
 //! Determinism: a work unit is a pure function of `(cell, run index)`
 //! (the run function derives the seed from the cell's base seed plus the
@@ -33,8 +35,8 @@
 //! a killed run continues where it stopped; merging the old and new
 //! results is byte-identical to an uninterrupted run.
 
-use crate::pool::{Task, ThreadBudget, WorkerPool};
 use crate::stats::RunStats;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -65,14 +67,12 @@ impl Shard {
     }
 }
 
-/// The sweep engine: run count, worker threads, a thread budget shared
-/// with the runs' inner engines, an optional shard, and an optional set
-/// of cells to skip (resume support).
+/// The sweep engine: run count, worker threads, an optional shard, and
+/// an optional set of cells to skip (resume support).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sweep {
     runs_per_cell: usize,
     threads: usize,
-    budget: ThreadBudget,
     shard: Option<Shard>,
     skip: Vec<usize>,
 }
@@ -92,7 +92,6 @@ impl Sweep {
         Sweep {
             runs_per_cell,
             threads,
-            budget: ThreadBudget::unlimited(),
             shard: None,
             skip: Vec::new(),
         }
@@ -103,18 +102,6 @@ impl Sweep {
     /// cgroup-limited hosts).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Returns the sweep drawing its outer workers from `budget` — a
-    /// cloneable ledger meant to be shared with the cells' inner
-    /// engines via [`crate::SimConfig::with_thread_budget`], so outer
-    /// `(cell, run)` parallelism and inner per-event fan-out together
-    /// never exceed the budget (8 total = e.g. 4 sweep workers × 2
-    /// engine threads, or 1 × 8 for a single 100k-node run). Purely a
-    /// scheduling knob: results are bit-identical for any budget.
-    pub fn with_budget(mut self, budget: ThreadBudget) -> Self {
-        self.budget = budget;
         self
     }
 
@@ -168,7 +155,9 @@ impl Sweep {
     ///
     /// # Panics
     ///
-    /// Propagates the first panic of any run.
+    /// If a run panics, no further units start; once the running ones
+    /// finish, this panics with a message naming the failed unit as
+    /// `cell {c} run {r}` (the lowest such unit, if several failed).
     pub fn execute<C: Sync>(
         &self,
         cells: &[C],
@@ -183,36 +172,38 @@ impl Sweep {
         if threads <= 1 {
             return self.execute_serial(cells, run_fn);
         }
-        // Outer workers come from the shared budget; whatever the
-        // ledger has left after this claim is what the runs' inner
-        // engines (drawing from the same budget through their configs)
-        // can still get. An exhausted budget degrades to the serial
-        // path.
-        let pool = WorkerPool::from_budget(&self.budget, threads);
-        if pool.threads() <= 1 {
-            return self.execute_serial(cells, run_fn);
-        }
 
+        // The cursor only hands out indices and publishes no data, so
+        // `Relaxed` suffices: results travel through the slot mutexes,
+        // and the scope's join orders them before the collection below.
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<RunStats>>> = units.iter().map(|_| Mutex::new(None)).collect();
-        let tasks: Vec<Task<'_>> = (0..pool.threads())
-            .map(|_| {
-                let next = &next;
-                let slots = &slots;
-                let units = &units;
-                let run_fn = &run_fn;
-                Box::new(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= units.len() {
-                        break;
+        let failure: Mutex<Option<(usize, String)>> = Mutex::new(None);
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&(c, r)) = units.get(i) else { break };
+            match run_unit(&cells[c], c, r, &run_fn) {
+                Ok(stats) => *slots[i].lock().expect("result slot poisoned") = Some(stats),
+                Err(msg) => {
+                    // Park the cursor past the end: no unit starts after
+                    // a failure.
+                    next.store(units.len(), Ordering::Relaxed);
+                    let mut first = failure.lock().expect("failure slot poisoned");
+                    if first.as_ref().is_none_or(|&(j, _)| i < j) {
+                        *first = Some((i, msg));
                     }
-                    let (c, r) = units[i];
-                    let stats = run_fn(&cells[c], r);
-                    *slots[i].lock().expect("result slot poisoned") = Some(stats);
-                }) as Task<'_>
-            })
-            .collect();
-        pool.run(tasks);
+                }
+            }
+        };
+        std::thread::scope(|s| {
+            for _ in 1..threads {
+                s.spawn(work);
+            }
+            work();
+        });
+        if let Some((_, msg)) = failure.into_inner().expect("failure slot poisoned") {
+            panic!("{msg}");
+        }
 
         let mut flat = slots.into_iter().map(|m| {
             m.into_inner()
@@ -234,6 +225,10 @@ impl Sweep {
     /// Executes the sweep on the calling thread — the reference the
     /// parallel path is validated against, and the variant for stateful
     /// (`FnMut`) run functions.
+    ///
+    /// # Panics
+    ///
+    /// Panics at the first failing run, naming it as `cell {c} run {r}`.
     pub fn execute_serial<C>(
         &self,
         cells: &[C],
@@ -245,12 +240,33 @@ impl Sweep {
             .map(|cell| CellRuns {
                 cell,
                 runs: (0..self.runs_per_cell)
-                    .map(|r| run_fn(&cells[cell], r))
+                    .map(|r| {
+                        run_unit(&cells[cell], cell, r, &mut run_fn)
+                            .unwrap_or_else(|msg| panic!("{msg}"))
+                    })
                     .collect(),
             })
             .collect();
         SweepResults { cells }
     }
+}
+
+/// Runs unit `(c, r)` of a sweep; a panic comes back as a message that
+/// names the unit.
+fn run_unit<C>(
+    cell: &C,
+    c: usize,
+    r: usize,
+    run_fn: impl FnOnce(&C, usize) -> RunStats,
+) -> Result<RunStats, String> {
+    catch_unwind(AssertUnwindSafe(|| run_fn(cell, r))).map_err(|payload| {
+        let what = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        format!("sweep unit cell {c} run {r} panicked: {what}")
+    })
 }
 
 /// One executed cell: its global index in the sweep's cell list and the
@@ -444,6 +460,26 @@ mod tests {
             .with_shard(0, 2)
             .execute(&cells, |c, r| fake_run(*c, r));
         let _ = SweepResults::merge(vec![a, b]);
+    }
+
+    /// A run function that fails on exactly one unit: cell 3, run 1.
+    fn failing_run(c: &u64, r: usize) -> RunStats {
+        assert!(!(*c == 3 && r == 1), "injected fault");
+        fake_run(*c, r)
+    }
+
+    #[test]
+    #[should_panic(expected = "cell 3 run 1")]
+    fn panic_names_its_unit_on_one_thread() {
+        let cells: Vec<u64> = (0..6).collect();
+        let _ = Sweep::new(2).with_threads(1).execute(&cells, failing_run);
+    }
+
+    #[test]
+    #[should_panic(expected = "cell 3 run 1")]
+    fn panic_names_its_unit_on_four_threads() {
+        let cells: Vec<u64> = (0..6).collect();
+        let _ = Sweep::new(2).with_threads(4).execute(&cells, failing_run);
     }
 
     #[test]
