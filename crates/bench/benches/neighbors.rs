@@ -1,7 +1,7 @@
 //! Criterion benchmarks of the engine's neighbor queries: uniform-grid
 //! spatial index vs the linear-scan reference, at 50 / 500 / 5000 nodes,
 //! whole-engine runs under both backends at 500 nodes, and the beacon
-//! hot path — `Arc`-interned snapshots + incremental two-hop merges
+//! hot path — `Rc`-interned snapshots + incremental two-hop merges
 //! (`TableBackend::Shared`) vs the clone-and-merge reference
 //! (`TableBackend::CloneMerge`) — at 500 / 5000 / 10000 nodes.
 //!

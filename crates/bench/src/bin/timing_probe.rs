@@ -32,7 +32,8 @@ fn main() {
         );
         println!("   counters: {:?}", stats.counters);
     }
-    for (name, r) in [("epi-100m", 100.0), ("epi-50m", 50.0)] {
+    // 250 m is the dense regime, where summary-vector exchange dominates.
+    for (name, r) in [("epi-250m", 250.0), ("epi-100m", 100.0), ("epi-50m", 50.0)] {
         let cfg = SimConfig::paper(r, 1).with_duration(3800.0);
         let wl = Workload::paper_style(50, 1980, 1000);
         let t = Instant::now();

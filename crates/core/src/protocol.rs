@@ -155,7 +155,7 @@ impl Glr {
         // worst case is used as the expected displacement.
         let v_max = ctx.config().speed_range.1;
         let range = ctx.config().radio_range;
-        // One shared snapshot serves both filters (an Arc clone, not a
+        // One shared snapshot serves both filters (an Rc clone, not a
         // fresh table materialisation, under the default table backend).
         let nbrs = ctx.neighbors();
         let one_hop: Vec<NodeId> = nbrs
@@ -557,7 +557,7 @@ impl Protocol for Glr {
     fn on_neighbor_appeared(&mut self, ctx: &mut Ctx<'_, Self::Packet>, nbr: NodeId) {
         // Contact-time location exchange (paper §2.3.1): remember where we
         // met everyone.
-        if let Some(e) = ctx.neighbors().into_iter().find(|e| e.id == nbr) {
+        if let Some(e) = ctx.neighbor(nbr) {
             self.locations
                 .update(e.id, LocationEstimate::new(e.pos, e.heard_at));
         }

@@ -2,7 +2,7 @@
 //! policy ("old messages are dropped when new messages come in", paper
 //! §3.6).
 
-use glr_sim::{MessageId, MessageInfo};
+use glr_sim::{BuildNodeIdHasher, MessageId, MessageInfo};
 use std::collections::{HashSet, VecDeque};
 
 /// A message held by an epidemic node.
@@ -15,6 +15,10 @@ pub struct BufferedMessage {
 }
 
 /// FIFO buffer of carried messages with O(1) membership tests.
+///
+/// Membership is the hot path of every summary-vector exchange, so the
+/// id set uses the simulator's integer hasher instead of SipHash. The
+/// set is only probed, never iterated; the queue alone fixes the order.
 ///
 /// # Examples
 ///
@@ -42,7 +46,7 @@ pub struct BufferedMessage {
 #[derive(Debug, Clone, Default)]
 pub struct FifoBuffer {
     queue: VecDeque<BufferedMessage>,
-    ids: HashSet<MessageId>,
+    ids: HashSet<MessageId, BuildNodeIdHasher>,
     capacity: Option<usize>,
 }
 
@@ -51,7 +55,7 @@ impl FifoBuffer {
     pub fn new(capacity: Option<usize>) -> Self {
         FifoBuffer {
             queue: VecDeque::new(),
-            ids: HashSet::new(),
+            ids: HashSet::default(),
             capacity,
         }
     }

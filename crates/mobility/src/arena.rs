@@ -51,8 +51,7 @@ pub struct DeploymentArena {
     /// Per node: index (relative to the span) of the segment the last
     /// `position_at` landed in. A pure search accelerator: reads and
     /// writes are `Relaxed` and results never depend on its value, so
-    /// concurrent readers (the simulator's parallel reception phase) stay
-    /// deterministic.
+    /// sampling through a shared `&self` stays deterministic.
     hints: Vec<AtomicU32>,
 }
 

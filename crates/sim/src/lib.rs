@@ -26,7 +26,7 @@
 //! |---|---|
 //! | [`mod@sim`] | event sequencing: drains same-tick batches, advances the clock, dispatches each event in order on one thread |
 //! | [`mod@medium`] | radio/PHY behind the pluggable [`Medium`] trait: [`ContentionMedium`] (default), [`IdealMedium`], [`ShadowingMedium`], [`DutyCycledMedium`] |
-//! | [`mod@neighbors`] | IMEP beacon sensing: `Arc`-interned beacon snapshots and incrementally merged 1-/2-hop tables with TTL expiry ([`TableBackend::Shared`]), plus the clone-and-merge reference ([`TableBackend::CloneMerge`]) |
+//! | [`mod@neighbors`] | IMEP beacon sensing: `Rc`-interned beacon snapshots and incrementally merged 1-/2-hop tables with TTL expiry ([`TableBackend::Shared`]), plus the clone-and-merge reference ([`TableBackend::CloneMerge`]) |
 //! | [`mod@space`] | proximity queries: grid-indexed ([`SpatialIndex`]) with an exact linear-scan reference backend |
 //! | [`mod@world`] | shared state: clock, trajectories, RNG, statistics |
 //! | [`mod@scenario`] | declarative experiment cells: [`Scenario`] = config + workload + [`MediumKind`] |
@@ -56,7 +56,7 @@
 //! * proximity queries — [`IndexBackend::Grid`] vs
 //!   [`IndexBackend::LinearScan`] (`tests/grid_equivalence.rs`);
 //! * the beacon/neighbour layer — [`TableBackend::Shared`] (one
-//!   `Arc`-interned snapshot per beacon shared by all receivers,
+//!   `Rc`-interned snapshot per beacon shared by all receivers,
 //!   incremental keyed merges, lazy staleness sweeping, cached
 //!   [`Ctx::neighbors`]/[`Ctx::local_view`]) vs
 //!   [`TableBackend::CloneMerge`] (`tests/table_equivalence.rs`).
@@ -70,7 +70,7 @@
 //! interned into one contiguous [`glr_mobility::DeploymentArena`]
 //! keyframe buffer (offsets + per-node segment hints) instead of one
 //! heap `Vec` per node, and all position sampling reads it. Per-node
-//! protocol state is compact: thin `Arc`-only beacon snapshots, a
+//! protocol state is compact: thin `Rc`-only beacon snapshots, a
 //! single-probe peer map with 32-byte entries, and the cold view caches
 //! split out of the hot per-node tables ([`TableFootprint`] reports the
 //! bytes; the `neighbor_footprint` bench row tracks them at 100k).
@@ -95,7 +95,7 @@
 //! impl Protocol for Opportunistic {
 //!     type Packet = Pkt;
 //!     fn on_message_created(&mut self, ctx: &mut Ctx<'_, Pkt>, info: MessageInfo) {
-//!         if ctx.neighbors().iter().any(|e| e.id == info.dst) {
+//!         if ctx.neighbor(info.dst).is_some() {
 //!             let _ = ctx.send(info.dst, Pkt(info), info.size, PacketKind::Data);
 //!         }
 //!     }

@@ -16,16 +16,17 @@
 //!
 //! * [`TableBackend::Shared`] (the default) is built for 10k+-node
 //!   deployments. A beacon's 1-hop snapshot is materialised **once** per
-//!   beacon event behind an `Arc` ([`BeaconSnapshot`]) and shared by
-//!   every receiver; [`NeighborTables::record_beacon`] stores the `Arc`
+//!   beacon event behind an `Rc` ([`BeaconSnapshot`]) and shared by
+//!   every receiver; [`NeighborTables::record_beacon`] stores the `Rc`
 //!   keyed by sender — amortised O(1) per reception — instead of merging
 //!   the snapshot entry-by-entry into a linearly-scanned 2-hop `Vec`.
 //!   1-hop upserts go through a hash index, expiry is swept lazily
 //!   (amortised, never a per-beacon full-table rebuild), and the
-//!   protocol-facing views ([`NeighborsView`]) are `Arc`-backed and
+//!   protocol-facing views ([`NeighborsView`]) are `Rc`-backed and
 //!   cached per `(node, time, generation)`, so repeated
 //!   [`crate::Ctx::neighbors`] / [`crate::Ctx::local_view`] calls within
-//!   one event are allocation-free.
+//!   one event are allocation-free. A run executes on one thread, so
+//!   the shared allocations carry plain (non-atomic) reference counts.
 //! * [`TableBackend::CloneMerge`] is the original clone-and-merge
 //!   implementation, kept as the behavioural reference the shared
 //!   backend is validated against (`tests/table_equivalence.rs`).
@@ -47,7 +48,7 @@ use crate::time::SimTime;
 use glr_geometry::Point2;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Multiply-xorshift hasher for [`NodeId`] keys on the beacon hot path.
 ///
@@ -107,7 +108,7 @@ pub struct NeighborEntry {
 /// Which data structure backs the neighbour tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TableBackend {
-    /// `Arc`-interned beacon snapshots, hash-indexed 1-hop tables,
+    /// `Rc`-interned beacon snapshots, hash-indexed 1-hop tables,
     /// amortised staleness sweeping — O(1) per beacon reception. The
     /// default.
     #[default]
@@ -131,12 +132,12 @@ impl TableBackend {
 /// A cheap, immutable, shareable view of neighbour entries.
 ///
 /// Dereferences to `[NeighborEntry]` and iterates by value like the
-/// `Vec<NeighborEntry>` it replaced, but cloning is an `Arc` bump: the
+/// `Vec<NeighborEntry>` it replaced, but cloning is an `Rc` bump: the
 /// shared backend hands the same allocation to every caller asking for
 /// the same node's view at the same time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NeighborsView {
-    entries: Arc<[NeighborEntry]>,
+    entries: Rc<[NeighborEntry]>,
 }
 
 impl NeighborsView {
@@ -163,7 +164,7 @@ impl std::ops::Deref for NeighborsView {
 /// exactly like iterating an owned `Vec<NeighborEntry>`.
 #[derive(Debug)]
 pub struct NeighborsIter {
-    entries: Arc<[NeighborEntry]>,
+    entries: Rc<[NeighborEntry]>,
     at: usize,
 }
 
@@ -202,20 +203,20 @@ impl<'a> IntoIterator for &'a NeighborsView {
 }
 
 /// One beacon's payload: the sender's fresh 1-hop table, materialised
-/// once per beacon event and shared (`Arc`) by every receiver.
+/// once per beacon event and shared (`Rc`) by every receiver.
 ///
-/// Deliberately thin — two words, a fat `Arc` pointer. Every receiver
+/// Deliberately thin — two words, a fat `Rc` pointer. Every receiver
 /// of a beacon stores a copy inside its [`NodeTable`]'s peer map, so
 /// each byte here is a byte per `(node, peer)` pair at 100k nodes; the
 /// freshest-entry timestamp the old layout cached inline is recomputed
 /// during the (amortised) sweeps that need it instead.
 #[derive(Debug, Clone)]
 pub struct BeaconSnapshot {
-    entries: Arc<[NeighborEntry]>,
+    entries: Rc<[NeighborEntry]>,
 }
 
 impl BeaconSnapshot {
-    fn new(entries: Arc<[NeighborEntry]>) -> Self {
+    fn new(entries: Rc<[NeighborEntry]>) -> Self {
         BeaconSnapshot { entries }
     }
 
@@ -299,6 +300,16 @@ impl NeighborTables {
         }
     }
 
+    /// `u`'s fresh one-hop entry for `id`, if any — exactly
+    /// `fresh_one_hop(u, now).into_iter().find(|e| e.id == id)`, without
+    /// materialising the table: one hash probe in the shared backend.
+    pub fn fresh_entry(&self, u: NodeId, id: NodeId, now: SimTime) -> Option<NeighborEntry> {
+        match &self.backend {
+            Backend::Shared(t) => t.fresh_entry(u, id, now),
+            Backend::CloneMerge(t) => t.fresh_entry(u, id, now),
+        }
+    }
+
     /// Fresh merged 1- and 2-hop entries for `u` — the "distance two
     /// neighbourhood information" the paper's nodes collect to build the
     /// LDTG. Excludes `u` itself; the freshest entry per id wins; sorted
@@ -378,8 +389,8 @@ const SWEEP_SLACK: usize = 4;
 struct SharedTables {
     /// Hot per-node state: everything a beacon reception touches. Kept
     /// separate from the cold view caches (SoA split) so the dense
-    /// beacon storm walks a ~45 % smaller array and reception worker
-    /// chunks cover fewer cache lines.
+    /// beacon storm walks a ~45 % smaller array and touches fewer cache
+    /// lines.
     nodes: Vec<NodeTable>,
     /// Cold per-node state: the `(time, generation)`-keyed snapshot and
     /// view caches, touched only when a node sends a beacon or a
@@ -389,7 +400,7 @@ struct SharedTables {
     /// Reusable freshest-wins merge buffer for [`SharedTables::fresh_view`].
     scratch: NodeMap<NeighborEntry>,
     /// Reusable staging buffer for snapshot materialisation, so a beacon
-    /// costs exactly one allocation (the shared `Arc`).
+    /// costs exactly one allocation (the shared `Rc`).
     snap_scratch: Vec<NeighborEntry>,
 }
 
@@ -410,7 +421,7 @@ struct PeerState {
     /// Current slot in `order`, or [`NO_SLOT`].
     slot: u32,
     /// Latest beacon snapshot from this peer (the receiving node's 2-hop
-    /// knowledge). An `Arc` clone of the sender-side materialisation.
+    /// knowledge). An `Rc` clone of the sender-side materialisation.
     snap: Option<BeaconSnapshot>,
 }
 
@@ -591,9 +602,22 @@ impl SharedTables {
                 .filter(|e| e.heard_at.as_secs() >= horizon)
                 .copied(),
         );
-        let snap = BeaconSnapshot::new(Arc::from(&snap_scratch[..]));
+        let snap = BeaconSnapshot::new(Rc::from(&snap_scratch[..]));
         cache.one = Some((now, t.gen, snap.clone()));
         snap
+    }
+
+    /// The peer's current slot is its only possibly fresh entry: an
+    /// orphaned slot was a zombie when it was left behind, so it is older
+    /// than every later query horizon.
+    fn fresh_entry(&self, u: NodeId, id: NodeId, now: SimTime) -> Option<NeighborEntry> {
+        let t = &self.nodes[u.index()];
+        let st = t.peers.get(&id)?;
+        if st.slot == NO_SLOT {
+            return None;
+        }
+        let e = t.order[st.slot as usize];
+        (e.heard_at.as_secs() >= now.as_secs() - self.ttl).then_some(e)
     }
 
     fn fresh_view(&mut self, u: NodeId, now: SimTime) -> NeighborsView {
@@ -655,10 +679,10 @@ impl SharedTables {
         let mut table_bytes = self.nodes.capacity() * std::mem::size_of::<NodeTable>()
             + self.caches.capacity() * std::mem::size_of::<NodeCache>();
         let mut snapshots: HashMap<*const NeighborEntry, usize> = HashMap::new();
-        let mut note = |entries: &Arc<[NeighborEntry]>| {
+        let mut note = |entries: &Rc<[NeighborEntry]>| {
             snapshots.insert(
                 entries.as_ptr(),
-                entries.len() * std::mem::size_of::<NeighborEntry>() + ARC_SLICE_HEADER,
+                entries.len() * std::mem::size_of::<NeighborEntry>() + RC_SLICE_HEADER,
             );
         };
         for t in &self.nodes {
@@ -689,9 +713,9 @@ impl SharedTables {
     }
 }
 
-/// `ArcInner` bookkeeping preceding an `Arc<[T]>`'s payload (strong +
+/// `RcInner` bookkeeping preceding an `Rc<[T]>`'s payload (strong +
 /// weak counts).
-const ARC_SLICE_HEADER: usize = 2 * std::mem::size_of::<usize>();
+const RC_SLICE_HEADER: usize = 2 * std::mem::size_of::<usize>();
 
 /// Estimated heap bytes of a `HashMap` with `capacity` usable slots and
 /// `entry` bytes per `(K, V)` pair: hashbrown allocates a power-of-two
@@ -716,7 +740,7 @@ pub struct TableFootprint {
     /// buffers and peer maps (map sizes are bucket estimates).
     pub table_bytes: usize,
     /// Bytes in interned beacon-snapshot/view allocations, counted once
-    /// per unique `Arc` however many peers share it.
+    /// per unique `Rc` however many peers share it.
     pub snapshot_bytes: usize,
 }
 
@@ -777,6 +801,14 @@ impl CloneTables {
             .filter(|e| e.heard_at.as_secs() >= horizon)
             .copied()
             .collect()
+    }
+
+    fn fresh_entry(&self, u: NodeId, id: NodeId, now: SimTime) -> Option<NeighborEntry> {
+        let horizon = self.horizon(now);
+        self.one_hop[u.index()]
+            .iter()
+            .find(|e| e.id == id && e.heard_at.as_secs() >= horizon)
+            .copied()
     }
 
     fn fresh_view(&self, u: NodeId, now: SimTime) -> Vec<NeighborEntry> {
@@ -987,7 +1019,7 @@ mod tests {
         let s = t.beacon_snapshot(NodeId(0), now);
         // Cached: a second ask at the same time is the same allocation.
         let s2 = t.beacon_snapshot(NodeId(0), now);
-        assert!(Arc::ptr_eq(&s.entries, &s2.entries));
+        assert!(Rc::ptr_eq(&s.entries, &s2.entries));
         // Receivers of the beacon share it too: record it at two nodes
         // and confirm both 2-hop views see the carried entry.
         t.record_beacon(NodeId(1), entry(0, 5.0), &s, now);
@@ -1005,13 +1037,13 @@ mod tests {
         let a = t.fresh_view(NodeId(1), now);
         let b = t.fresh_view(NodeId(1), now);
         assert!(
-            Arc::ptr_eq(&a.entries, &b.entries),
+            Rc::ptr_eq(&a.entries, &b.entries),
             "same (time, gen) must hit the cache"
         );
         // A mutation invalidates.
         t.record_beacon(NodeId(1), entry(2, 1.5), &snap(&[]), now);
         let c = t.fresh_view(NodeId(1), now);
-        assert!(!Arc::ptr_eq(&a.entries, &c.entries));
+        assert!(!Rc::ptr_eq(&a.entries, &c.entries));
         assert_eq!(
             c.iter().find(|e| e.id == NodeId(2)).unwrap().heard_at,
             SimTime::from_secs(1.5)

@@ -149,9 +149,18 @@ impl<'a, Pk: Clone + std::fmt::Debug> Ctx<'a, Pk> {
     /// The returned [`NeighborsView`] derefs to `[NeighborEntry]` and
     /// iterates by value like the `Vec` it replaced; under the default
     /// [`crate::TableBackend::Shared`] repeated calls within one event
-    /// are `Arc` clones of a cached snapshot, not fresh allocations.
+    /// are `Rc` clones of a cached snapshot, not fresh allocations.
     pub fn neighbors(&mut self) -> NeighborsView {
         self.core.tables.fresh_one_hop(self.me, self.core.world.now)
+    }
+
+    /// The fresh one-hop entry for `id`, if it is a neighbour — the same
+    /// entry [`Ctx::neighbors`] would list, looked up without building
+    /// the whole view.
+    pub fn neighbor(&self, id: NodeId) -> Option<NeighborEntry> {
+        self.core
+            .tables
+            .fresh_entry(self.me, id, self.core.world.now)
     }
 
     /// Fresh merged 1- and 2-hop entries — the "distance two neighbourhood
@@ -707,8 +716,11 @@ mod tests {
             fn on_packet(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
             fn on_neighbor_appeared(&mut self, ctx: &mut Ctx<'_, ()>, nbr: NodeId) {
                 self.appeared += 1;
-                // The new neighbour must be in the fresh table.
-                assert!(ctx.neighbors().iter().any(|e| e.id == nbr));
+                // The new neighbour must be in the fresh table, and the
+                // one-entry lookup must return exactly its entry.
+                let listed = ctx.neighbors().into_iter().find(|e| e.id == nbr);
+                assert!(listed.is_some());
+                assert_eq!(ctx.neighbor(nbr), listed);
             }
         }
         let cfg = two_node_config(5);

@@ -1,13 +1,16 @@
 //! Refactor-safety properties for the neighbour-table layer: the shared
-//! (`Arc`-interned snapshots, incremental two-hop merges, lazy staleness
+//! (`Rc`-interned snapshots, incremental two-hop merges, lazy staleness
 //! sweeping) backend must be *exactly* equivalent to the clone-and-merge
 //! reference — bit-identical [`RunStats`] from full simulation runs
 //! across random configurations, seeds, all three media, and both
-//! spatial-index backends. Same pattern as `grid_equivalence.rs`.
+//! spatial-index backends. Same pattern as `grid_equivalence.rs`. The
+//! one-entry lookup `NeighborTables::fresh_entry` is pinned at table
+//! level to the full-table lookup it replaces.
 
+use glr_geometry::Point2;
 use glr_sim::{
-    Ctx, IndexBackend, MediumKind, MessageInfo, NodeId, PacketKind, Protocol, RunStats, SimConfig,
-    TableBackend, Workload,
+    Ctx, IndexBackend, MediumKind, MessageInfo, NeighborEntry, NeighborTables, NodeId, PacketKind,
+    Protocol, RunStats, SimConfig, SimTime, TableBackend, Workload,
 };
 use proptest::prelude::*;
 
@@ -177,6 +180,65 @@ proptest! {
             shared, reference,
             "seed={} range={} msgs={} medium={}", seed, range, msgs, medium
         );
+    }
+}
+
+/// A deterministic entry: node `id`'s position is a function of time,
+/// as the engine guarantees for every recorded entry.
+fn entry(id: u32, at: f64) -> NeighborEntry {
+    NeighborEntry {
+        id: NodeId(id),
+        pos: Point2::new(f64::from(id), at),
+        heard_at: SimTime::from_secs(at),
+    }
+}
+
+const TABLE_NODES: u32 = 5;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `fresh_entry` (behind `Ctx::neighbor`) is exactly the lookup it
+    /// replaces, a `find` over the materialised fresh one-hop table, for
+    /// every `(node, id)` under both backends. Random beacon and frame
+    /// sequences let entries expire, get garbage-collected as zombies,
+    /// revive into new slots (leaving orphans) and be swept.
+    #[test]
+    fn fresh_entry_matches_a_find_over_fresh_one_hop(
+        ops in prop::collection::vec((0u8..3, 0u32..TABLE_NODES, 0u32..32, 0.0..0.8f64), 50..400),
+    ) {
+        for backend in [TableBackend::Shared, TableBackend::CloneMerge] {
+            let mut t = NeighborTables::new(TABLE_NODES as usize, 4.0, backend);
+            let mut clock = 0.0;
+            for (step, &(kind, a, b, dt)) in ops.iter().enumerate() {
+                clock += dt;
+                let now = SimTime::from_secs(clock);
+                if kind < 2 {
+                    // Beacon from `a`, heard by the receivers in mask `b`.
+                    let snap = t.beacon_snapshot(NodeId(a), now);
+                    for r in (0..TABLE_NODES).filter(|&r| r != a && b & (1 << r) != 0) {
+                        t.record_beacon(NodeId(r), entry(a, clock), &snap, now);
+                    }
+                } else {
+                    t.heard_frame(NodeId(b % TABLE_NODES), entry(a, clock));
+                }
+                for at in [now, SimTime::from_secs(clock + 2.0)] {
+                    for u in 0..TABLE_NODES {
+                        for id in 0..TABLE_NODES {
+                            let want = t
+                                .fresh_one_hop(NodeId(u), at)
+                                .into_iter()
+                                .find(|e| e.id == NodeId(id));
+                            prop_assert_eq!(
+                                t.fresh_entry(NodeId(u), NodeId(id), at),
+                                want,
+                                "{:?} step {} node {} id {}", backend, step, u, id
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
