@@ -1,13 +1,10 @@
 //! Criterion micro-benchmarks of the computational kernels behind GLR:
 //! Delaunay triangulation, k-LDTG construction, node-local spanner
-//! derivation, DSTD tree extraction, and face routing.
+//! derivation and DSTD next-hop selection.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use glr_core::{spanner_neighbors, SpannerMode};
-use glr_geometry::{
-    dstd_next_hop, greedy_face_route, k_ldtg, ldtg_local_neighbors, unit_disk_graph, DstdKind,
-    Point2, Triangulation,
-};
+use glr_geometry::{dstd_next_hop, k_ldtg, ldtg_local_neighbors, DstdKind, Point2, Triangulation};
 use glr_sim::{NeighborEntry, NodeId, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -101,29 +98,12 @@ fn bench_dstd(c: &mut Criterion) {
     });
 }
 
-fn bench_face_route(c: &mut Criterion) {
-    // Offline GFG on a connected LDTG.
-    let mut seed = 17;
-    let (pts, g) = loop {
-        let pts = random_points(60, 1000.0, 1000.0, seed);
-        let udg = unit_disk_graph(&pts, 300.0);
-        if udg.is_connected() {
-            break (pts.clone(), k_ldtg(&pts, 300.0, 2));
-        }
-        seed += 1;
-    };
-    c.bench_function("greedy_face_route/60", |b| {
-        b.iter(|| greedy_face_route(black_box(&g), &pts, 0, 59, 10_000))
-    });
-}
-
 criterion_group!(
     kernels,
     bench_delaunay,
     bench_k_ldtg,
     bench_local_spanner,
     bench_ldtg_local_view,
-    bench_dstd,
-    bench_face_route
+    bench_dstd
 );
 criterion_main!(kernels);

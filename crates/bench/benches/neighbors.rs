@@ -1,13 +1,12 @@
-//! Criterion benchmarks of the engine's neighbor queries: uniform-grid
-//! spatial index vs the linear-scan reference, at 50 / 500 / 5000 nodes,
-//! whole-engine runs under both backends at 500 nodes, and the beacon
-//! hot path — `Rc`-interned snapshots + incremental two-hop merges
-//! (`TableBackend::Shared`) vs the clone-and-merge reference
-//! (`TableBackend::CloneMerge`) — at 500 / 5000 / 10000 nodes.
+//! Criterion benchmarks of the engine's neighbour layer: uniform-grid
+//! spatial-index queries at 50 / 500 / 5000 nodes, and the beacon hot
+//! path — `Rc`-interned snapshots + incremental two-hop merges
+//! (`TableBackend::Shared`) — at 500 / 5000 / 10000 nodes. The reference
+//! backends are exercised by the equivalence tests, not benchmarked.
 //!
 //! Node density is held at the paper's (50 nodes per 1500 m × 300 m
 //! strip) by scaling the region with √n, so per-query result sizes stay
-//! comparable and the measured difference is the index, not the answer.
+//! comparable as `n` grows.
 //!
 //! Regenerate the committed artefact with:
 //!
@@ -18,8 +17,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use glr_mobility::{DeploymentArena, MobilityModel, RandomWaypoint, Region};
 use glr_sim::{
-    IndexBackend, NeighborEntry, NeighborTables, NodeId, SimConfig, SimTime, Simulation,
-    SpatialIndex, TableBackend, Workload,
+    IndexBackend, NeighborEntry, NeighborTables, NodeId, SimTime, SpatialIndex, TableBackend,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,12 +35,6 @@ fn deployment(n: usize, duration: f64, seed: u64) -> (Region, DeploymentArena) {
     let trajs =
         DeploymentArena::from_trajectories(&model.deployment(region, n, duration, &mut rng));
     (region, trajs)
-}
-
-fn index(backend: IndexBackend, n: usize, trajs: &DeploymentArena) -> SpatialIndex {
-    let mut idx = SpatialIndex::new(backend, n, 20.0, RANGE);
-    idx.refresh(SimTime::ZERO, trajs);
-    idx
 }
 
 /// One query batch: a radius query around each of 64 probe nodes, at a
@@ -64,61 +56,27 @@ fn bench_nodes_within(c: &mut Criterion) {
     let mut g = c.benchmark_group("nodes_within_64q");
     for n in SIZES {
         let (_, trajs) = deployment(n, 10.0, 42);
-        for (name, backend) in [
-            ("linear", IndexBackend::LinearScan),
-            ("grid", IndexBackend::Grid),
-        ] {
-            let idx = index(backend, n, &trajs);
-            g.bench_function(BenchmarkId::new(name, n), |b| {
-                b.iter(|| query_batch(black_box(&idx), &trajs, n))
-            });
-        }
-    }
-    g.finish();
-}
-
-fn bench_engine_end_to_end(c: &mut Criterion) {
-    // Whole-engine comparison at 500 nodes: beacons + contention queries
-    // dominate, so the index backend shows up directly in events/second.
-    struct Idle;
-    impl glr_sim::Protocol for Idle {
-        type Packet = ();
-        fn on_message_created(&mut self, _: &mut glr_sim::Ctx<'_, ()>, _: glr_sim::MessageInfo) {}
-        fn on_packet(&mut self, _: &mut glr_sim::Ctx<'_, ()>, _: glr_sim::NodeId, _: ()) {}
-    }
-    let mut g = c.benchmark_group("engine_500n_10s");
-    for (name, backend) in [
-        ("linear", IndexBackend::LinearScan),
-        ("grid", IndexBackend::Grid),
-    ] {
-        g.bench_function(BenchmarkId::new(name, 500), |b| {
-            b.iter(|| {
-                let scale = (500.0f64 / 50.0).sqrt();
-                let cfg = SimConfig::paper(RANGE, 7)
-                    .with_nodes(500)
-                    .with_region(Region::new(1500.0 * scale, 300.0 * scale))
-                    .with_duration(10.0)
-                    .with_neighbor_index(backend);
-                Simulation::new(black_box(cfg), Workload::default(), |_, _| Idle).run()
-            })
+        let mut idx = SpatialIndex::new(IndexBackend::Grid, n, 20.0, RANGE);
+        idx.refresh(SimTime::ZERO, &trajs);
+        g.bench_function(BenchmarkId::new("grid", n), |b| {
+            b.iter(|| query_batch(black_box(&idx), &trajs, n))
         });
     }
     g.finish();
 }
 
-/// One backend's beacon workload: `rounds` full beacon rounds — per
+/// The beacon workload: `rounds` full beacon rounds — per
 /// beacon one snapshot materialisation, then a `record_beacon` at each
 /// radio neighbour — with a `fresh_view` (2-hop) query at 64 probe
 /// nodes per round, the mix a beacon interval of protocol activity
 /// generates.
 fn beacon_rounds(
-    backend: TableBackend,
     n: usize,
     positions: &[glr_geometry::Point2],
     nbrs: &[Vec<NodeId>],
     rounds: usize,
 ) -> (usize, usize) {
-    let mut tables = NeighborTables::new(n, 2.5, backend);
+    let mut tables = NeighborTables::new(n, 2.5, TableBackend::Shared);
     let mut contacts = 0usize;
     let mut seen = 0usize;
     for round in 0..rounds {
@@ -144,8 +102,7 @@ fn beacon_rounds(
 
 /// Static deployment with the region scaled by `(n/50)^exponent`:
 /// exponent 0.5 holds the paper's node density (constant radio degree),
-/// 0.25 grows density with `√n` — the dense regime where the reference
-/// backend's per-reception merge is quadratic in the degree.
+/// 0.25 grows density with `√n` (the radio degree grows too).
 fn tables_fixture(
     n: usize,
     exponent: f64,
@@ -166,42 +123,30 @@ fn tables_fixture(
 }
 
 /// The beacon hot path at the paper's density (degree stays ~constant
-/// as `n` grows): interned snapshots vs the clone-and-merge reference.
-/// Neighbour lists are precomputed so the measurement is the table
+/// as `n` grows). Neighbour lists are precomputed so the measurement is the table
 /// layer, not the spatial index.
 fn bench_beacon_paper_density(c: &mut Criterion) {
     let mut g = c.benchmark_group("beacon_3rounds_64q");
     for n in [500usize, 5000, 10000] {
         let (positions, nbrs) = tables_fixture(n, 0.5, 42);
-        for (name, backend) in [
-            ("clone", TableBackend::CloneMerge),
-            ("shared", TableBackend::Shared),
-        ] {
-            g.bench_function(BenchmarkId::new(name, n), |b| {
-                b.iter(|| black_box(beacon_rounds(backend, n, &positions, &nbrs, 3)))
-            });
-        }
+        g.bench_function(BenchmarkId::new("shared", n), |b| {
+            b.iter(|| black_box(beacon_rounds(n, &positions, &nbrs, 3)))
+        });
     }
     g.finish();
 }
 
 /// The beacon hot path in the dense regime (density grows with `√n`, so
 /// the radio degree grows too — the regime that dominates 10k+-node
-/// scenarios whose deployment area does not scale with the swarm). The
-/// reference pays O(degree × two-hop table) per reception; the shared
-/// backend pays O(1).
+/// scenarios whose deployment area does not scale with the swarm); the
+/// shared backend still pays O(1) per reception.
 fn bench_beacon_dense(c: &mut Criterion) {
     let mut g = c.benchmark_group("beacon_dense_1round_64q");
     for n in [500usize, 5000, 10000] {
         let (positions, nbrs) = tables_fixture(n, 0.25, 42);
-        for (name, backend) in [
-            ("clone", TableBackend::CloneMerge),
-            ("shared", TableBackend::Shared),
-        ] {
-            g.bench_function(BenchmarkId::new(name, n), |b| {
-                b.iter(|| black_box(beacon_rounds(backend, n, &positions, &nbrs, 1)))
-            });
-        }
+        g.bench_function(BenchmarkId::new("shared", n), |b| {
+            b.iter(|| black_box(beacon_rounds(n, &positions, &nbrs, 1)))
+        });
     }
     g.finish();
 }
@@ -209,7 +154,6 @@ fn bench_beacon_dense(c: &mut Criterion) {
 criterion_group!(
     neighbors,
     bench_nodes_within,
-    bench_engine_end_to_end,
     bench_beacon_paper_density,
     bench_beacon_dense
 );

@@ -1,11 +1,11 @@
 //! Undirected graphs over indexed point sets.
 //!
 //! The routing stack manipulates several geometric graphs (unit-disk graph,
-//! local Delaunay triangulation, Gabriel graph, …) that all share the same
-//! vertex set: the node indices of a deployment. [`Graph`] is a simple
+//! Delaunay triangulation, local Delaunay triangulation) that all share the
+//! same vertex set: the node indices of a deployment. [`Graph`] is a simple
 //! adjacency-list representation with the traversals the GLR protocol and
-//! the evaluation harness need: k-hop neighbourhoods, connected components,
-//! BFS hop counts, and Euclidean-weighted shortest paths.
+//! the evaluation harness need: k-hop neighbourhoods, connected components
+//! and Euclidean-weighted shortest paths.
 
 use crate::point::Point2;
 use std::collections::{BinaryHeap, VecDeque};
@@ -80,21 +80,6 @@ impl Graph {
         self.edge_count += 1;
     }
 
-    /// Removes the undirected edge `uv` if present; returns whether it existed.
-    pub fn remove_edge(&mut self, u: usize, v: usize) -> bool {
-        let Some(pos) = self.adj[u].iter().position(|&w| w == v) else {
-            return false;
-        };
-        self.adj[u].swap_remove(pos);
-        let pos_v = self.adj[v]
-            .iter()
-            .position(|&w| w == u)
-            .expect("adjacency lists out of sync");
-        self.adj[v].swap_remove(pos_v);
-        self.edge_count -= 1;
-        true
-    }
-
     /// `true` when the edge `uv` is present.
     #[inline]
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
@@ -153,24 +138,6 @@ impl Graph {
         }
         out.sort_unstable();
         out
-    }
-
-    /// BFS hop distance from `u` to every vertex (`None` when unreachable).
-    pub fn bfs_hops(&self, u: usize) -> Vec<Option<usize>> {
-        let mut dist = vec![None; self.len()];
-        let mut queue = VecDeque::new();
-        dist[u] = Some(0);
-        queue.push_back(u);
-        while let Some(v) = queue.pop_front() {
-            let dv = dist[v].expect("queued vertex has distance");
-            for &w in &self.adj[v] {
-                if dist[w].is_none() {
-                    dist[w] = Some(dv + 1);
-                    queue.push_back(w);
-                }
-            }
-        }
-        dist
     }
 
     /// Connected components, each sorted, ordered by smallest member.
@@ -241,27 +208,6 @@ impl Graph {
         }
         dist
     }
-
-    /// Induced subgraph on `vertices` (which need not be sorted).
-    ///
-    /// Returns the subgraph plus the mapping `local index -> original vertex`.
-    pub fn induced_subgraph(&self, vertices: &[usize]) -> (Graph, Vec<usize>) {
-        let map: Vec<usize> = vertices.to_vec();
-        let mut inv = vec![usize::MAX; self.len()];
-        for (i, &v) in map.iter().enumerate() {
-            inv[v] = i;
-        }
-        let mut sub = Graph::new(map.len());
-        for (i, &v) in map.iter().enumerate() {
-            for &w in &self.adj[v] {
-                let j = inv[w];
-                if j != usize::MAX && i < j {
-                    sub.add_edge(i, j);
-                }
-            }
-        }
-        (sub, map)
-    }
 }
 
 /// Heap entry ordered so the smallest distance pops first.
@@ -328,18 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_edge_works() {
-        let mut g = Graph::new(3);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
-        assert!(g.remove_edge(0, 1));
-        assert!(!g.remove_edge(0, 1));
-        assert!(!g.has_edge(0, 1));
-        assert!(g.has_edge(1, 2));
-        assert_eq!(g.edge_count(), 1);
-    }
-
-    #[test]
     fn edges_iterator_unique() {
         let mut g = Graph::new(4);
         g.add_edge(0, 1);
@@ -357,21 +291,6 @@ mod tests {
         assert_eq!(g.k_hop_neighborhood(0, 1), vec![0, 1]);
         assert_eq!(g.k_hop_neighborhood(2, 2), vec![0, 1, 2, 3, 4]);
         assert_eq!(g.k_hop_neighborhood(0, 99), (0..6).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn bfs_hops_on_path() {
-        let g = path_graph(4);
-        let d = g.bfs_hops(0);
-        assert_eq!(d, vec![Some(0), Some(1), Some(2), Some(3)]);
-    }
-
-    #[test]
-    fn bfs_unreachable() {
-        let mut g = Graph::new(3);
-        g.add_edge(0, 1);
-        let d = g.bfs_hops(0);
-        assert_eq!(d[2], None);
     }
 
     #[test]
@@ -423,20 +342,5 @@ mod tests {
         g.add_edge(0, 1);
         let d = g.euclidean_shortest_paths(0, &pos);
         assert!(d[2].is_infinite());
-    }
-
-    #[test]
-    fn induced_subgraph_maps_edges() {
-        let mut g = Graph::new(5);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
-        g.add_edge(2, 3);
-        g.add_edge(3, 4);
-        let (sub, map) = g.induced_subgraph(&[1, 2, 4]);
-        assert_eq!(map, vec![1, 2, 4]);
-        assert_eq!(sub.len(), 3);
-        assert!(sub.has_edge(0, 1)); // 1-2
-        assert!(!sub.has_edge(1, 2)); // 2-4 not an edge in g
-        assert_eq!(sub.edge_count(), 1);
     }
 }

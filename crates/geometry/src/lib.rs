@@ -11,12 +11,11 @@
 //! * the **k-local Delaunay triangulation graph** ([`k_ldtg`] and its
 //!   node-local counterpart [`ldtg_local_neighbors`]) — the paper's planar
 //!   routing spanner,
-//! * [`PlanarEmbedding`] + [`face_route`]/[`greedy_face_route`] for
-//!   local-minimum recovery,
 //! * DSTD tree extraction ([`dstd_next_hop`], [`DstdKind`]) for controlled
 //!   flooding,
-//! * Gabriel/relative-neighbourhood baselines and spanner
-//!   [`euclidean_stretch`] metrics for the ablation studies.
+//! * the spanner [`euclidean_stretch`] metric the evaluation harness
+//!   reports for the k-LDTG,
+//! * the uniform [`Grid`] behind the simulator's spatial index.
 //!
 //! # Quick example
 //!
@@ -45,10 +44,9 @@
 #![warn(missing_docs)]
 
 mod delaunay;
-mod faces;
-mod gabriel;
 mod graph;
 mod grid;
+#[cfg(test)]
 mod hull;
 mod ldt;
 mod point;
@@ -58,21 +56,13 @@ mod trees;
 mod udg;
 
 pub use delaunay::Triangulation;
-pub use faces::{
-    face_route, greedy_face_route, is_local_minimum, is_plane_drawing, left_of, FaceWalk,
-    PlanarEmbedding,
-};
-pub use gabriel::{gabriel_graph, relative_neighborhood_graph};
 pub use graph::Graph;
 pub use grid::{bounding_box, Grid};
-pub use hull::convex_hull;
 pub use ldt::{k_ldtg, ldtg_local_neighbors};
 pub use point::Point2;
-pub use predicates::{
-    circumcenter, in_diametral_disk, incircle, orient2d, orient2d_raw, segments_cross, Sign,
-};
-pub use spanner::{euclidean_stretch, relative_stretch, StretchReport};
-pub use trees::{dstd_fanout, dstd_next_hop, extract_dstd_path, DstdKind};
+pub use predicates::{incircle, orient2d, segments_cross, Sign};
+pub use spanner::{euclidean_stretch, StretchReport};
+pub use trees::{dstd_next_hop, extract_dstd_path, DstdKind};
 pub use udg::{
     connectivity_probability, connectivity_radius_bound, connectivity_radius_for_region,
     unit_disk_graph,

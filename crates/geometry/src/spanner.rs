@@ -2,9 +2,8 @@
 //!
 //! The paper leans on the local Delaunay triangulation being a *constant
 //! stretch* planar spanner (Keil & Gutwin bound the Delaunay stretch by
-//! ~2.42). These metrics quantify that for any subgraph: the worst-case and
-//! average ratio of graph distance to straight-line distance, and the ratio
-//! against unit-disk-graph distances (what pruning to a spanner costs).
+//! ~2.42). [`euclidean_stretch`] quantifies that for any subgraph: the
+//! worst-case and average ratio of graph distance to straight-line distance.
 
 use crate::graph::Graph;
 use crate::point::Point2;
@@ -80,58 +79,49 @@ pub fn euclidean_stretch(g: &Graph, positions: &[Point2]) -> StretchReport {
     }
 }
 
-/// Stretch of subgraph `g` relative to the Euclidean shortest paths of a
-/// reference graph `reference` (typically the unit-disk graph `g` was
-/// pruned from): the worst and mean ratio `d_g(u,v) / d_ref(u,v)` over
-/// pairs connected in the reference.
-///
-/// Pairs connected in the reference but not in `g` would have infinite
-/// stretch; they are counted in `pairs` but reported through
-/// `max_stretch = f64::INFINITY`.
-///
-/// # Panics
-///
-/// Panics if the graphs have different vertex counts or `positions` does
-/// not match.
-pub fn relative_stretch(g: &Graph, reference: &Graph, positions: &[Point2]) -> StretchReport {
-    assert_eq!(g.len(), reference.len(), "vertex counts must match");
-    assert_eq!(
-        positions.len(),
-        g.len(),
-        "positions must match vertex count"
-    );
-    let n = g.len();
-    let mut max_s: f64 = 1.0;
-    let mut sum = 0.0;
-    let mut pairs = 0usize;
-    for u in 0..n {
-        let dg = g.euclidean_shortest_paths(u, positions);
-        let dr = reference.euclidean_shortest_paths(u, positions);
-        for v in (u + 1)..n {
-            if !dr[v].is_finite() || dr[v] == 0.0 {
-                continue;
-            }
-            pairs += 1;
-            let s = dg[v] / dr[v];
-            max_s = max_s.max(s);
-            if s.is_finite() {
-                sum += s;
-            }
-        }
-    }
-    StretchReport {
-        max_stretch: max_s,
-        mean_stretch: if pairs > 0 { sum / pairs as f64 } else { 1.0 },
-        pairs,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::delaunay::Triangulation;
     use crate::ldt::k_ldtg;
     use crate::udg::unit_disk_graph;
+
+    /// Stretch of subgraph `g` against the Euclidean shortest paths of
+    /// `reference` (the unit-disk graph `g` was pruned from), over pairs
+    /// connected in the reference. A pair `g` disconnects counts in `pairs`
+    /// and makes `max_stretch` infinite.
+    fn relative_stretch(g: &Graph, reference: &Graph, positions: &[Point2]) -> StretchReport {
+        assert_eq!(g.len(), reference.len(), "vertex counts must match");
+        assert_eq!(
+            positions.len(),
+            g.len(),
+            "positions must match vertex count"
+        );
+        let n = g.len();
+        let mut max_s: f64 = 1.0;
+        let mut sum = 0.0;
+        let mut pairs = 0usize;
+        for u in 0..n {
+            let dg = g.euclidean_shortest_paths(u, positions);
+            let dr = reference.euclidean_shortest_paths(u, positions);
+            for v in (u + 1)..n {
+                if !dr[v].is_finite() || dr[v] == 0.0 {
+                    continue;
+                }
+                pairs += 1;
+                let s = dg[v] / dr[v];
+                max_s = max_s.max(s);
+                if s.is_finite() {
+                    sum += s;
+                }
+            }
+        }
+        StretchReport {
+            max_stretch: max_s,
+            mean_stretch: if pairs > 0 { sum / pairs as f64 } else { 1.0 },
+            pairs,
+        }
+    }
 
     fn pseudo_random_points(n: usize, w: f64, h: f64, seed: u64) -> Vec<Point2> {
         let mut state = seed | 1;

@@ -1,13 +1,12 @@
 //! Simulation configuration.
 //!
 //! A [`SimConfig`] describes *what* one run simulates: deployment,
-//! radio, MAC, beacons, storage and seed, plus the two data-structure
-//! backends with their reference twins. It holds no execution knob. A
-//! run always executes on one thread; parallelism lives one level up,
-//! across independent runs in [`crate::Sweep`].
+//! radio, MAC, beacons, storage and seed. It holds no execution knob and
+//! no data-structure choice: the engine always runs the grid spatial
+//! index and the shared neighbour tables. A run always executes on one
+//! thread; parallelism lives one level up, across independent runs in
+//! [`crate::Sweep`].
 
-use crate::neighbors::TableBackend;
-use crate::space::IndexBackend;
 use glr_mobility::Region;
 
 /// Full configuration of a simulation run.
@@ -65,19 +64,6 @@ pub struct SimConfig {
     pub storage_limit: Option<usize>,
     /// Interval between storage-occupancy samples for the statistics.
     pub stats_interval: f64,
-    /// Spatial index backing the engine's proximity queries. Both
-    /// backends return identical results (and identical [`crate::RunStats`]
-    /// for a fixed seed); [`IndexBackend::Grid`] is asymptotically faster
-    /// and the default, [`IndexBackend::LinearScan`] is the reference
-    /// implementation.
-    pub neighbor_index: IndexBackend,
-    /// Data structure backing the IMEP neighbour tables. Both backends
-    /// are observably identical (bit-identical [`crate::RunStats`] for a
-    /// fixed seed); [`TableBackend::Shared`] interns beacon snapshots and
-    /// merges incrementally — O(1) per beacon reception — and is the
-    /// default, [`TableBackend::CloneMerge`] is the clone-and-merge
-    /// reference implementation.
-    pub neighbor_tables: TableBackend,
     /// RNG seed; runs with equal configuration and seed are identical.
     pub seed: u64,
 }
@@ -102,8 +88,6 @@ impl SimConfig {
             mac_retries: 6,
             storage_limit: None,
             stats_interval: 1.0,
-            neighbor_index: IndexBackend::Grid,
-            neighbor_tables: TableBackend::Shared,
             seed,
         }
     }
@@ -120,8 +104,15 @@ impl SimConfig {
     }
 
     /// Returns the config with a different duration.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `secs` is positive and finite.
     pub fn with_duration(mut self, secs: f64) -> Self {
-        assert!(secs > 0.0, "duration must be positive");
+        assert!(
+            secs > 0.0 && secs.is_finite(),
+            "duration must be positive and finite, got {secs}"
+        );
         self.sim_duration = secs;
         self
     }
@@ -151,18 +142,6 @@ impl SimConfig {
         self
     }
 
-    /// Returns the config with a different spatial-index backend.
-    pub fn with_neighbor_index(mut self, backend: IndexBackend) -> Self {
-        self.neighbor_index = backend;
-        self
-    }
-
-    /// Returns the config with a different neighbour-table backend.
-    pub fn with_neighbor_tables(mut self, backend: TableBackend) -> Self {
-        self.neighbor_tables = backend;
-        self
-    }
-
     /// Transmission time of a frame of `size` payload bytes, in seconds
     /// (serialisation plus fixed MAC overhead).
     pub fn tx_time(&self, size: u32) -> f64 {
@@ -183,26 +162,42 @@ impl SimConfig {
         );
         assert!(self.data_rate_bps > 0.0, "data rate must be positive");
         assert!(self.queue_limit > 0, "queue limit must be positive");
-        assert!(self.sim_duration > 0.0, "duration must be positive");
+        // Times and speeds feed the event schedule and the mobility
+        // keyframe loop (`while t < duration`), which need finite values.
         assert!(
-            self.speed_range.0 >= 0.0 && self.speed_range.0 <= self.speed_range.1,
-            "invalid speed range"
-        );
-        assert!(self.pause_time >= 0.0, "pause must be non-negative");
-        assert!(
-            self.beacon_interval > 0.0,
-            "beacon interval must be positive"
+            self.sim_duration > 0.0 && self.sim_duration.is_finite(),
+            "duration must be positive and finite"
         );
         assert!(
-            self.neighbor_ttl >= self.beacon_interval,
-            "ttl must cover a beacon interval"
+            self.speed_range.0 >= 0.0
+                && self.speed_range.0 <= self.speed_range.1
+                && self.speed_range.1.is_finite(),
+            "invalid speed range: bounds must be finite with 0 <= min <= max"
         );
-        assert!(self.mac_slot >= 0.0 && self.mac_overhead_bits >= 0.0);
+        assert!(
+            self.pause_time >= 0.0 && self.pause_time.is_finite(),
+            "pause must be non-negative and finite"
+        );
+        assert!(
+            self.beacon_interval > 0.0 && self.beacon_interval.is_finite(),
+            "beacon interval must be positive and finite"
+        );
+        assert!(
+            self.neighbor_ttl >= self.beacon_interval && self.neighbor_ttl.is_finite(),
+            "ttl must be finite and cover a beacon interval"
+        );
+        assert!(
+            self.mac_slot >= 0.0 && self.mac_overhead_bits >= 0.0,
+            "MAC slot and overhead must be non-negative"
+        );
         assert!(
             (0.0..1.0).contains(&self.collision_prob),
             "collision prob in [0,1)"
         );
-        assert!(self.stats_interval > 0.0, "stats interval must be positive");
+        assert!(
+            self.stats_interval > 0.0 && self.stats_interval.is_finite(),
+            "stats interval must be positive and finite"
+        );
     }
 }
 
@@ -263,6 +258,49 @@ mod tests {
     fn invalid_radio_range_rejected() {
         let mut c = SimConfig::paper(100.0, 0);
         c.radio_range = -1.0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "positive and finite")]
+    fn infinite_duration_rejected_by_with_duration() {
+        let _ = SimConfig::paper(100.0, 0).with_duration(f64::INFINITY);
+    }
+
+    /// `validate` rejects the paper config once `set` puts an infinite
+    /// value into `field`.
+    fn assert_rejects_infinite(field: &str, set: impl Fn(&mut SimConfig)) {
+        let mut c = SimConfig::paper(100.0, 0);
+        set(&mut c);
+        let rejected = std::panic::catch_unwind(|| c.validate()).is_err();
+        assert!(rejected, "infinite {field} accepted");
+    }
+
+    #[test]
+    fn non_finite_times_and_speeds_rejected() {
+        const INF: f64 = f64::INFINITY;
+        assert_rejects_infinite("sim_duration", |c| c.sim_duration = INF);
+        assert_rejects_infinite("beacon_interval", |c| c.beacon_interval = INF);
+        assert_rejects_infinite("neighbor_ttl", |c| c.neighbor_ttl = INF);
+        assert_rejects_infinite("stats_interval", |c| c.stats_interval = INF);
+        assert_rejects_infinite("pause_time", |c| c.pause_time = INF);
+        assert_rejects_infinite("max speed", |c| c.speed_range.1 = INF);
+        assert_rejects_infinite("min and max speed", |c| c.speed_range = (INF, INF));
+    }
+
+    #[test]
+    #[should_panic(expected = "duration must be positive and finite")]
+    fn infinite_duration_rejected_by_validate() {
+        let mut c = SimConfig::paper(100.0, 0);
+        c.sim_duration = f64::INFINITY;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "MAC slot and overhead")]
+    fn negative_mac_slot_rejected() {
+        let mut c = SimConfig::paper(100.0, 0);
+        c.mac_slot = -1.0;
         c.validate();
     }
 }

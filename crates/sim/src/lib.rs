@@ -26,8 +26,8 @@
 //! |---|---|
 //! | [`mod@sim`] | event sequencing: drains same-tick batches, advances the clock, dispatches each event in order on one thread |
 //! | [`mod@medium`] | radio/PHY behind the pluggable [`Medium`] trait: [`ContentionMedium`] (default), [`IdealMedium`], [`ShadowingMedium`], [`DutyCycledMedium`] |
-//! | [`mod@neighbors`] | IMEP beacon sensing: `Rc`-interned beacon snapshots and incrementally merged 1-/2-hop tables with TTL expiry ([`TableBackend::Shared`]), plus the clone-and-merge reference ([`TableBackend::CloneMerge`]) |
-//! | [`mod@space`] | proximity queries: grid-indexed ([`SpatialIndex`]) with an exact linear-scan reference backend |
+//! | [`mod@neighbors`] | IMEP beacon sensing: `Rc`-interned beacon snapshots and incrementally merged 1-/2-hop tables with TTL expiry ([`TableBackend::Shared`]); the clone-and-merge reference ([`TableBackend::CloneMerge`]) is a test oracle |
+//! | [`mod@space`] | proximity queries: grid-indexed ([`SpatialIndex`]); the exact linear-scan reference ([`IndexBackend::LinearScan`]) is a test oracle |
 //! | [`mod@world`] | shared state: clock, trajectories, RNG, statistics |
 //! | [`mod@scenario`] | declarative experiment cells: [`Scenario`] = config + workload + [`MediumKind`] |
 //! | [`mod@sweep`] | the parameter-sweep engine and the crate's only parallelism: `(cell, seed)` units drained by scoped threads, sharding, deterministic collection |
@@ -44,14 +44,17 @@
 //! resumes an interrupted run from the cells already present in its
 //! partial report. Runs are pure functions of
 //! `(config, workload, protocol, seed)`: the same seed gives
-//! bit-identical [`RunStats`] under either spatial-index backend,
-//! either neighbour-table backend, any thread count, any shard split,
-//! and any conforming medium.
+//! bit-identical [`RunStats`] under any thread count, any shard split
+//! and any conforming medium, and the equivalence suites hold it under
+//! the reference backends too (below).
 //!
 //! # Scaling to 100k+ nodes
 //!
-//! Two hot paths get faster backends, each validated bit-for-bit
-//! against a straightforward reference implementation:
+//! The engine always runs the fast backend of its two hot paths. Each is
+//! validated bit-for-bit against a straightforward reference
+//! implementation, which tests swap in through
+//! `Simulation::with_reference_backends`; [`SimConfig`] has no backend
+//! switch:
 //!
 //! * proximity queries — [`IndexBackend::Grid`] vs
 //!   [`IndexBackend::LinearScan`] (`tests/grid_equivalence.rs`);

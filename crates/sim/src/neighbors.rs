@@ -14,7 +14,7 @@
 //! [`TableBackend`] (mirroring the [`crate::SpatialIndex`] grid /
 //! linear-scan pair):
 //!
-//! * [`TableBackend::Shared`] (the default) is built for 10k+-node
+//! * [`TableBackend::Shared`] (the engine's tables) is built for 10k+-node
 //!   deployments. A beacon's 1-hop snapshot is materialised **once** per
 //!   beacon event behind an `Rc` ([`BeaconSnapshot`]) and shared by
 //!   every receiver; [`NeighborTables::record_beacon`] stores the `Rc`
@@ -29,7 +29,8 @@
 //!   the shared allocations carry plain (non-atomic) reference counts.
 //! * [`TableBackend::CloneMerge`] is the original clone-and-merge
 //!   implementation, kept as the behavioural reference the shared
-//!   backend is validated against (`tests/table_equivalence.rs`).
+//!   backend is validated against (`tests/table_equivalence.rs`, which
+//!   runs the engine on it through `Simulation::with_reference_backends`).
 //!
 //! Both backends are **observably identical**: for any fixed seed a full
 //! simulation produces bit-identical [`crate::RunStats`] under either.
@@ -106,27 +107,18 @@ pub struct NeighborEntry {
 }
 
 /// Which data structure backs the neighbour tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableBackend {
     /// `Rc`-interned beacon snapshots, hash-indexed 1-hop tables,
     /// amortised staleness sweeping — O(1) per beacon reception. The
-    /// default.
-    #[default]
+    /// engine's tables.
     Shared,
     /// The original clone-and-merge tables: every reception deep-merges
-    /// the snapshot into `Vec`-scanned 1-/2-hop tables. Kept as the
-    /// reference implementation the shared backend is validated against.
+    /// the snapshot into `Vec`-scanned 1-/2-hop tables. The reference
+    /// implementation the shared backend is validated against; a full run
+    /// selects it only through `Simulation::with_reference_backends` in
+    /// tests.
     CloneMerge,
-}
-
-impl TableBackend {
-    /// A short stable name (`"shared"` / `"clone-merge"`) for labels.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TableBackend::Shared => "shared",
-            TableBackend::CloneMerge => "clone-merge",
-        }
-    }
 }
 
 /// A cheap, immutable, shareable view of neighbour entries.

@@ -35,8 +35,11 @@ use crate::config::SimConfig;
 use crate::event::EventKind;
 use crate::ids::{MessageId, MessageInfo, NodeId};
 use crate::medium::{ContentionMedium, Frame, Medium, PacketKind, QueueFull, TxResolution};
-use crate::neighbors::{NeighborEntry, NeighborTables, NeighborsView, TableFootprint};
+use crate::neighbors::{
+    NeighborEntry, NeighborTables, NeighborsView, TableBackend, TableFootprint,
+};
 use crate::queue::TimedQueue;
+use crate::space::{IndexBackend, SpatialIndex};
 use crate::stats::RunStats;
 use crate::time::SimTime;
 use crate::workload::Workload;
@@ -357,7 +360,7 @@ impl<P: Protocol> Simulation<P> {
         let message_ids = (0..workload.len())
             .map(|i| workload.message_id(i))
             .collect();
-        let tables = NeighborTables::new(n, config.neighbor_ttl, config.neighbor_tables);
+        let tables = NeighborTables::new(n, config.neighbor_ttl, TableBackend::Shared);
         let core = Core {
             world: World::new(config, trajectories, rng),
             events: TimedQueue::new(),
@@ -373,6 +376,19 @@ impl<P: Protocol> Simulation<P> {
             receivers: Vec::new(),
             fresh: Vec::new(),
         }
+    }
+
+    /// Rebuilds the not-yet-run simulation's spatial index and neighbour
+    /// tables on the given backends. The equivalence suites use it to run
+    /// the engine on the reference implementations
+    /// ([`IndexBackend::LinearScan`], [`TableBackend::CloneMerge`]); every
+    /// backend pair yields bit-identical [`RunStats`].
+    #[doc(hidden)]
+    pub fn with_reference_backends(mut self, index: IndexBackend, tables: TableBackend) -> Self {
+        let config = &self.core.world.config;
+        self.core.world.index = SpatialIndex::from_config(config, index);
+        self.core.tables = NeighborTables::new(config.n_nodes, config.neighbor_ttl, tables);
+        self
     }
 
     fn with_protocol<R>(
@@ -689,18 +705,10 @@ mod tests {
         for seed in [5u64, 21, 99] {
             let wl = Workload::paper_style(50, 40, 1000);
             let cfg = SimConfig::paper(150.0, seed).with_duration(90.0);
-            let grid = Simulation::new(
-                cfg.clone().with_neighbor_index(crate::IndexBackend::Grid),
-                wl.clone(),
-                |_, _| DirectSend,
-            )
-            .run();
-            let linear = Simulation::new(
-                cfg.with_neighbor_index(crate::IndexBackend::LinearScan),
-                wl,
-                |_, _| DirectSend,
-            )
-            .run();
+            let grid = Simulation::new(cfg.clone(), wl.clone(), |_, _| DirectSend).run();
+            let linear = Simulation::new(cfg, wl, |_, _| DirectSend)
+                .with_reference_backends(IndexBackend::LinearScan, TableBackend::Shared)
+                .run();
             assert_eq!(grid, linear, "backends diverged at seed {seed}");
         }
     }

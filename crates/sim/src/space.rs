@@ -29,14 +29,14 @@ use glr_geometry::{Grid, Point2};
 use glr_mobility::DeploymentArena;
 
 /// Which data structure backs the engine's neighbor queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexBackend {
     /// Uniform spatial grid with drift-compensated lazy rebuilds —
-    /// `O(cell occupancy)` per query. The default.
-    #[default]
+    /// `O(cell occupancy)` per query. The engine's index.
     Grid,
-    /// Exhaustive scan over all nodes — `O(n)` per query. Kept as the
-    /// reference implementation the grid is validated against.
+    /// Exhaustive scan over all nodes — `O(n)` per query. The reference
+    /// implementation the grid is validated against; a full run selects
+    /// it only through `Simulation::with_reference_backends` in tests.
     LinearScan,
 }
 
@@ -128,19 +128,14 @@ impl SpatialIndex {
     /// sampled speeds *up* to — without it a config whose nominal maximum
     /// is below the floor would under-state the drift bound and break
     /// grid exactness).
-    pub fn from_config(config: &SimConfig) -> Self {
+    pub fn from_config(config: &SimConfig, backend: IndexBackend) -> Self {
         let max_speed = config.speed_range.1.max(glr_mobility::SPEED_FLOOR);
         // Half-radius cells: the scanned cell neighbourhood hugs the
         // query circle ~2x tighter than radius-sized cells (fewer
         // candidates for the exact filter), while the CSR grid keeps the
         // larger cell count cheap to rebuild and walk. Purely a
         // performance choice — any cell size returns the same sets.
-        SpatialIndex::new(
-            config.neighbor_index,
-            config.n_nodes,
-            max_speed,
-            config.radio_range * 0.5,
-        )
+        SpatialIndex::new(backend, config.n_nodes, max_speed, config.radio_range * 0.5)
     }
 
     /// Metres any node may have moved since the grid snapshot at `now`.

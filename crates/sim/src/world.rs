@@ -18,7 +18,7 @@
 
 use crate::config::SimConfig;
 use crate::ids::NodeId;
-use crate::space::SpatialIndex;
+use crate::space::{IndexBackend, SpatialIndex};
 use crate::stats::RunStats;
 use crate::time::SimTime;
 use glr_geometry::Point2;
@@ -39,7 +39,7 @@ pub struct World {
 impl World {
     pub(crate) fn new(config: SimConfig, trajectories: Vec<Trajectory>, rng: StdRng) -> Self {
         let arena = DeploymentArena::from_trajectories(&trajectories);
-        let index = SpatialIndex::from_config(&config);
+        let index = SpatialIndex::from_config(&config, IndexBackend::Grid);
         let stats = RunStats::new(config.n_nodes);
         World {
             config,

@@ -6,7 +6,7 @@
 use glr_mobility::{DeploymentArena, MobilityModel, RandomWaypoint, Region};
 use glr_sim::{
     Ctx, IndexBackend, MessageInfo, NodeId, PacketKind, Protocol, RunStats, SimConfig, SimTime,
-    Simulation, SpatialIndex, Workload,
+    Simulation, SpatialIndex, TableBackend, Workload,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -59,12 +59,9 @@ impl Protocol for Flood {
 }
 
 fn run_with(backend: IndexBackend, cfg: &SimConfig, wl: &Workload) -> RunStats {
-    Simulation::new(
-        cfg.clone().with_neighbor_index(backend),
-        wl.clone(),
-        |_, _| Flood,
-    )
-    .run()
+    Simulation::new(cfg.clone(), wl.clone(), |_, _| Flood)
+        .with_reference_backends(backend, TableBackend::Shared)
+        .run()
 }
 
 proptest! {

@@ -115,16 +115,16 @@ fn run<P: Protocol>(
     cfg: &SimConfig,
     wl: &Workload,
     medium: &MediumKind,
-    tables: TableBackend,
+    (index, tables): (IndexBackend, TableBackend),
     factory: impl FnMut(NodeId, &SimConfig) -> P,
 ) -> RunStats {
-    let cfg = cfg.clone().with_neighbor_tables(tables);
     glr_sim::Simulation::with_boxed_medium(
         cfg.clone(),
         wl.clone(),
         factory,
         medium.build(cfg.n_nodes),
     )
+    .with_reference_backends(index, tables)
     .run()
 }
 
@@ -146,11 +146,11 @@ proptest! {
         for index in [IndexBackend::Grid, IndexBackend::LinearScan] {
             let cfg = SimConfig::paper(range, seed)
                 .with_nodes(30)
-                .with_duration(60.0)
-                .with_neighbor_index(index);
+                .with_duration(60.0);
             let wl = Workload::paper_style(cfg.n_nodes, msgs, 1000);
-            let shared = run(&cfg, &wl, &medium, TableBackend::Shared, |_, _| Flood);
-            let reference = run(&cfg, &wl, &medium, TableBackend::CloneMerge, |_, _| Flood);
+            let shared = run(&cfg, &wl, &medium, (index, TableBackend::Shared), |_, _| Flood);
+            let reference =
+                run(&cfg, &wl, &medium, (index, TableBackend::CloneMerge), |_, _| Flood);
             prop_assert_eq!(
                 shared, reference,
                 "seed={} range={} msgs={} medium={} index={:?}", seed, range, msgs, medium, index
@@ -174,8 +174,13 @@ proptest! {
             .with_nodes(30)
             .with_duration(60.0);
         let wl = Workload::paper_style(cfg.n_nodes, msgs, 1000);
-        let shared = run(&cfg, &wl, &medium, TableBackend::Shared, |_, _| ViewGreedy);
-        let reference = run(&cfg, &wl, &medium, TableBackend::CloneMerge, |_, _| ViewGreedy);
+        let shared = run(&cfg, &wl, &medium, (IndexBackend::Grid, TableBackend::Shared), |_, _| {
+            ViewGreedy
+        });
+        let reference =
+            run(&cfg, &wl, &medium, (IndexBackend::Grid, TableBackend::CloneMerge), |_, _| {
+                ViewGreedy
+            });
         prop_assert_eq!(
             shared, reference,
             "seed={} range={} msgs={} medium={}", seed, range, msgs, medium
@@ -256,14 +261,14 @@ fn long_runs_with_churn_stay_bit_identical() {
             &cfg,
             &wl,
             &MediumKind::Contention,
-            TableBackend::Shared,
+            (IndexBackend::Grid, TableBackend::Shared),
             |_, _| ViewGreedy,
         );
         let reference = run(
             &cfg,
             &wl,
             &MediumKind::Contention,
-            TableBackend::CloneMerge,
+            (IndexBackend::Grid, TableBackend::CloneMerge),
             |_, _| ViewGreedy,
         );
         assert_eq!(shared, reference, "seed={seed} range={range}");

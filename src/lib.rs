@@ -5,8 +5,8 @@
 //! This facade crate re-exports the whole stack:
 //!
 //! * [`geometry`] — robust predicates, Delaunay triangulation, unit-disk
-//!   graphs, the k-local Delaunay triangulation spanner, face routing and
-//!   DSTD tree extraction;
+//!   graphs and the connectivity bound, the k-local Delaunay triangulation
+//!   spanner and DSTD tree extraction;
 //! * [`mobility`] — random waypoint (the paper's motion model), random
 //!   walk and stationary trajectories;
 //! * [`sim`] — the deterministic discrete-event DTN simulator (the NS-2

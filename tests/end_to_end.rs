@@ -163,22 +163,14 @@ fn grid_index_is_exact_for_the_full_glr_stack() {
     // complete protocol stack (GLR with custody, location diffusion and
     // face routing over the contention medium) produces bit-identical
     // statistics under both backends.
-    use glr::sim::IndexBackend;
+    use glr::sim::{IndexBackend, TableBackend};
     for seed in [3u64, 17] {
         let cfg = SimConfig::paper(100.0, seed).with_duration(300.0);
         let wl = Workload::paper_style(50, 80, 1000);
-        let grid = Simulation::new(
-            cfg.clone().with_neighbor_index(IndexBackend::Grid),
-            wl.clone(),
-            Glr::new,
-        )
-        .run();
-        let linear = Simulation::new(
-            cfg.with_neighbor_index(IndexBackend::LinearScan),
-            wl,
-            Glr::new,
-        )
-        .run();
+        let grid = Simulation::new(cfg.clone(), wl.clone(), Glr::new).run();
+        let linear = Simulation::new(cfg, wl, Glr::new)
+            .with_reference_backends(IndexBackend::LinearScan, TableBackend::Shared)
+            .run();
         assert_eq!(
             grid, linear,
             "GLR stack diverged across backends at seed {seed}"
